@@ -221,17 +221,12 @@ def cmd_decompose(cfg: PipelineConfig, args) -> int:
     )
     dcfg.validate()
     _, g = _load_graph(cfg, args)
-    _timed("components", lambda: graphmod.connected_components(g))
     cfg.outdir.mkdir(parents=True, exist_ok=True)
     for method in dcfg.methods:
         result = _timed(
             method,
             lambda m=method: cohesive.decompose(
-                g,
-                m,
-                k_min=dcfg.k_min,
-                max_count=dcfg.max_cliques,
-                workers=cfg.effective_workers(),
+                g, m, k_min=dcfg.k_min, max_count=dcfg.max_cliques
             ),
         )
         if result.truncated:
@@ -374,7 +369,11 @@ def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("-c", "--config", help="INI config file")
     shared.add_argument("--output", help="output directory")
-    shared.add_argument("--workers", type=int, help="worker threads (0 = auto)")
+    shared.add_argument(
+        "--workers",
+        type=int,
+        help="threads for pairs and knox (0 = CPU count); stats and decompose are single-threaded",
+    )
 
     parser = argparse.ArgumentParser(
         prog="nearchain",
@@ -458,7 +457,7 @@ def main(argv=None) -> int:
         if args.workers is not None:
             cfg.workers = args.workers
         return COMMANDS[args.command](cfg, args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, knoxmod.MarginError) as exc:
         _say(f"error: {exc}")
         return 1
 

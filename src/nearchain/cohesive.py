@@ -8,7 +8,6 @@ reported subgraph against the parent graph.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,19 +70,11 @@ def core_numbers(g: graphmod.EventGraph, return_order: bool = False):
     if n == 0:
         empty = np.zeros(0, dtype=np.int64)
         return (empty, []) if return_order else empty
-    maxd = int(deg.max())
-    # counting sort of vertices by degree
-    bin_start = np.zeros(maxd + 2, dtype=np.int64)
-    np.cumsum(np.bincount(deg, minlength=maxd + 1), out=bin_start[1:])
-    pos = np.zeros(n, dtype=np.int64)
-    vert = np.zeros(n, dtype=np.int64)
-    fill = bin_start[:-1].copy()
-    for v in range(n):
-        d = deg[v]
-        pos[v] = fill[d]
-        vert[fill[d]] = v
-        fill[d] += 1
-    bins = bin_start[:-1].copy()
+    # vertices sorted by degree, ties by id; bins[d] is where degree d starts
+    vert = np.argsort(deg, kind="stable")
+    pos = np.empty(n, dtype=np.int64)
+    pos[vert] = np.arange(n)
+    bins = np.searchsorted(deg[vert], np.arange(int(deg.max()) + 1))
     ro, ci = g.row_offsets, g.col_indices
     for i in range(n):
         v = int(vert[i])
@@ -107,36 +98,31 @@ def core_numbers(g: graphmod.EventGraph, return_order: bool = False):
     return deg
 
 
-def _components_as_subgraphs(g, vertices) -> list[Subgraph]:
-    """Split a vertex set into connected components of its induced subgraph."""
-    sub, remap = graphmod.induced_subgraph(g, vertices)
-    labeling = graphmod.connected_components(sub)
-    out = []
-    for comp in labeling.components:
-        orig = remap[comp]
-        csub, _ = graphmod.induced_subgraph(g, orig)
-        coef = graphmod.clustering_coefficient(csub) if csub.n else 0.0
-        out.append(Subgraph(tuple(int(v) for v in orig), csub.m, coef))
-    out.sort(key=lambda s: s.vertices)
-    return out
-
-
 def k_core_decompose(
     g: graphmod.EventGraph, k_min: int = DEFAULT_K_MIN
 ) -> DecompositionResult:
     """Maximal subgraphs of minimum internal degree k, per k >= k_min.
 
-    Each level is reported as the connected components of the k-core;
-    iteration continues until the core empties.
+    Each level is reported as the connected components of the k-core, the
+    vertices of core number >= k; levels run up to the largest core number.
+    An edge or triangle joins the k-core at the smallest core number of its
+    vertices, so one sweep over those numbers yields every level.
     """
     core = core_numbers(g)
-    per_k: dict[int, list[Subgraph]] = {}
-    kmax = int(core.max()) if g.n else 0
-    for k in range(k_min, kmax + 1):
-        verts = np.nonzero(core >= k)[0]
-        if len(verts) == 0:
-            break
-        per_k[k] = _components_as_subgraphs(g, verts)
+    tris = graphmod.triangles(g)
+    e = g.edges
+    levels = graphmod.level_components(
+        g,
+        tris,
+        core,
+        np.minimum(core[e[:, 0]], core[e[:, 1]]),
+        core[tris].min(axis=1),
+        k_min,
+    )
+    per_k = {
+        k: [Subgraph(c.vertices, len(c.edge_ids), c.coefficient) for c in comps]
+        for k, comps in levels.items()
+    }
     return DecompositionResult("core", k_min, per_k)
 
 
@@ -154,23 +140,15 @@ def truss_numbers(g: graphmod.EventGraph) -> np.ndarray:
         return np.zeros(0, dtype=np.int64)
     sup = graphmod.compute_supports(g)
     # live adjacency with edge ids, shrunk as edges are peeled
+    edges = g.edges.tolist()
     adj: list[dict[int, int]] = [dict() for _ in range(g.n)]
-    for e in range(m):
-        u, v = int(g.edges[e, 0]), int(g.edges[e, 1])
-        adj[u][v] = e
-        adj[v][u] = e
-    maxs = int(sup.max())
-    bin_start = np.zeros(maxs + 2, dtype=np.int64)
-    np.cumsum(np.bincount(sup, minlength=maxs + 1), out=bin_start[1:])
-    pos = np.zeros(m, dtype=np.int64)
-    eorder = np.zeros(m, dtype=np.int64)
-    fill = bin_start[:-1].copy()
-    for e in range(m):
-        s = sup[e]
-        pos[e] = fill[s]
-        eorder[fill[s]] = e
-        fill[s] += 1
-    bins = bin_start[:-1].copy()
+    for e, (u, v) in enumerate(edges):
+        adj[u][v] = adj[v][u] = e
+    # edges sorted by support, ties by id; bins[s] is where support s starts
+    eorder = np.argsort(sup, kind="stable")
+    pos = np.empty(m, dtype=np.int64)
+    pos[eorder] = np.arange(m)
+    bins = np.searchsorted(sup[eorder], np.arange(int(sup.max()) + 1))
     tn = np.zeros(m, dtype=np.int64)
     k_cur = 2
     for i in range(m):
@@ -180,7 +158,7 @@ def truss_numbers(g: graphmod.EventGraph) -> np.ndarray:
             bins[s] = i + 1
         k_cur = max(k_cur, s + 2)
         tn[e] = k_cur
-        u, v = int(g.edges[e, 0]), int(g.edges[e, 1])
+        u, v = edges[e]
         del adj[u][v]
         del adj[v][u]
         au, av = adj[u], adj[v]
@@ -207,33 +185,30 @@ def k_truss_decompose(
     """Maximal subgraphs where every edge closes >= k-2 triangles, per k.
 
     Subgraphs are edge-defined: each level keeps edges of truss number >= k,
-    drops isolated vertices, and reports connected components.
+    drops isolated vertices, and reports connected components.  A vertex
+    joins at the largest truss number of its edges and a triangle at the
+    smallest of its three, so one sweep over those numbers yields every level.
     """
     tn = truss_numbers(g)
-    per_k: dict[int, list[Subgraph]] = {}
-    kmax = int(tn.max()) if g.m else 0
-    for k in range(k_min, kmax + 1):
-        eids = np.nonzero(tn >= k)[0]
-        if len(eids) == 0:
-            break
-        edges = g.edges[eids]
-        verts = np.unique(edges)
-        local = np.searchsorted(verts, edges)
-        sub = graphmod.build_graph(len(verts), local)
-        labeling = graphmod.connected_components(sub)
-        subs = []
-        for comp in labeling.components:
-            csub, cmap = graphmod.induced_subgraph(sub, comp)
-            orig = verts[cmap]
-            coef = graphmod.clustering_coefficient(csub)
-            comp_edges = tuple(
-                (int(orig[a]), int(orig[b])) for a, b in csub.edges
+    tris = graphmod.triangles(g)
+    e = g.edges
+    tri_level = tn[graphmod.triangle_edges(g, tris)].min(axis=1)
+    vertex_level = np.full(g.n, np.iinfo(np.int64).min)
+    np.maximum.at(vertex_level, e[:, 0], tn)
+    np.maximum.at(vertex_level, e[:, 1], tn)
+    levels = graphmod.level_components(g, tris, vertex_level, tn, tri_level, k_min)
+    per_k = {
+        k: [
+            Subgraph(
+                c.vertices,
+                len(c.edge_ids),
+                c.coefficient,
+                tuple(map(tuple, e[c.edge_ids].tolist())),
             )
-            subs.append(
-                Subgraph(tuple(int(v) for v in orig), csub.m, coef, comp_edges)
-            )
-        subs.sort(key=lambda s: s.vertices)
-        per_k[k] = subs
+            for c in comps
+        ]
+        for k, comps in levels.items()
+    }
     return DecompositionResult("truss", k_min, per_k)
 
 
@@ -245,60 +220,21 @@ def k_dbscan(
 ) -> DecompositionResult:
     """Graph-form density clustering, per k starting at k_min.
 
-    At each k, every vertex of working-graph degree >= k is a core vertex;
-    a cluster is grown breadth-first from each unvisited core vertex, with
-    lower-degree neighbors attaching as border members and expansion
-    propagating through them.  Vertices left unvisited at a level are removed
-    from the working graph, degrees recompute, and k increments until the
-    working graph is empty.
+    At each k, a vertex of working-graph degree >= k seeds a cluster that
+    grows breadth-first through every working-graph neighbor, border members
+    included; unclustered vertices leave the working graph and k increments
+    until no seed is left.  A cluster is a whole component of the working
+    graph, so removing the others changes no surviving degree: the clusters
+    at level k are the components of ``g`` whose largest degree is >= k.
     """
-    per_k: dict[int, list[Subgraph]] = {}
-    if g.n == 0:
-        return DecompositionResult("dbscan", k_min, per_k)
-    ro, ci = g.row_offsets, g.col_indices
-    src = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(ro))
-    alive = np.ones(g.n, dtype=bool)
-    k = k_min
-    while alive.any():
-        both = alive[src] & alive[ci]
-        deg = np.bincount(src[both], minlength=g.n)
-        visited = np.zeros(g.n, dtype=bool)
-        clusters: list[np.ndarray] = []
-        for v in range(g.n):
-            if not alive[v] or visited[v] or deg[v] < k:
-                continue
-            members = [v]
-            visited[v] = True
-            frontier = [v]
-            while frontier:
-                nxt = []
-                for u in frontier:
-                    for w in ci[ro[u] : ro[u + 1]]:
-                        w = int(w)
-                        if alive[w] and not visited[w]:
-                            visited[w] = True
-                            members.append(w)
-                            nxt.append(w)
-                frontier = nxt
-            clusters.append(np.array(sorted(members), dtype=np.int64))
-        if not clusters:
-            break
-        clusters.sort(key=lambda c: int(c[0]))
-        subs = []
-        for comp in clusters:
-            csub, _ = graphmod.induced_subgraph(g, comp)
-            subs.append(
-                Subgraph(
-                    tuple(int(v) for v in comp),
-                    csub.m,
-                    graphmod.clustering_coefficient(csub),
-                )
-            )
-        per_k[k] = subs
-        alive = np.zeros(g.n, dtype=bool)
-        for comp in clusters:
-            alive[comp] = True
-        k += 1
+    comps = graphmod.component_table(g)
+    deg = g.degrees.tolist()
+    top = [max(deg[v] for v in c.vertices) for c in comps]
+    subs = [Subgraph(c.vertices, len(c.edge_ids), c.coefficient) for c in comps]
+    per_k = {
+        k: [sg for sg, t in zip(subs, top) if t >= k]
+        for k in range(k_min, max(top, default=k_min - 1) + 1)
+    }
     return DecompositionResult("dbscan", k_min, per_k)
 
 
@@ -374,7 +310,7 @@ def clique_decomposition(cliques: CliqueSet) -> DecompositionResult:
     )
 
 
-# ----------------------------------------------------------- parallel wrapper
+# ------------------------------------------------------------------ dispatch
 
 
 def decompose(
@@ -382,52 +318,19 @@ def decompose(
     method: str,
     k_min: int = DEFAULT_K_MIN,
     max_count: int = DEFAULT_MAX_CLIQUES,
-    workers: int = 1,
 ) -> DecompositionResult:
-    """Run one method, optionally component-parallel, with canonical merge.
-
-    Results are byte-identical to the sequential whole-graph run for any
-    worker count: per-k inventories merge in order of smallest member id.
-    """
+    """Run one method by name on the whole graph, in the calling thread."""
     runners = {
-        "core": lambda gg: k_core_decompose(gg, k_min),
-        "truss": lambda gg: k_truss_decompose(gg, k_min),
-        "dbscan": lambda gg: k_dbscan(gg, k_min),
-        "clique": lambda gg: clique_decomposition(
-            enumerate_cliques(gg, k_min, max_count)
+        "core": lambda: k_core_decompose(g, k_min),
+        "truss": lambda: k_truss_decompose(g, k_min),
+        "dbscan": lambda: k_dbscan(g, k_min),
+        "clique": lambda: clique_decomposition(
+            enumerate_cliques(g, k_min, max_count)
         ),
     }
     if method not in runners:
         raise ValueError(f"unknown method {method!r}; expected one of {sorted(runners)}")
-    run = runners[method]
-    if workers <= 1 or method == "clique":
-        return run(g)
-
-    labeling = graphmod.connected_components(g)
-    pieces = []
-    for comp in labeling.components:
-        sub, remap = graphmod.induced_subgraph(g, comp)
-        pieces.append((sub, remap))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(lambda p: run(p[0]), pieces))
-    merged: dict[int, list[Subgraph]] = {}
-    for (sub, remap), res in zip(pieces, results):
-        for k, subs in res.per_k.items():
-            for sg in subs:
-                verts = tuple(int(remap[v]) for v in sg.vertices)
-                edge_list = (
-                    tuple(
-                        (int(remap[a]), int(remap[b])) for a, b in sg.edge_list
-                    )
-                    if sg.edge_list is not None
-                    else None
-                )
-                merged.setdefault(k, []).append(
-                    Subgraph(verts, sg.n_edges, sg.coefficient, edge_list)
-                )
-    for subs in merged.values():
-        subs.sort(key=lambda s: s.vertices)
-    return DecompositionResult(method, k_min, dict(sorted(merged.items())))
+    return runners[method]()
 
 
 # ------------------------------------------------------------------ validator
@@ -438,100 +341,96 @@ def validate(result: DecompositionResult, g: graphmod.EventGraph) -> ValidationR
 
     Core: minimum induced degree >= k.  Truss: minimum support >= k-2 within
     the subgraph's own edge set.  Clique: pairwise adjacency plus maximality.
-    DBSCAN: cluster memberships equal an independent re-derivation of the
-    seeded-expansion rules.
+    DBSCAN: the clustering rules, level by level (see :func:`_dbscan_failures`).
     """
-    failures: list[dict] = []
     adj = g.adjacency_sets()
+    if result.method == "dbscan":
+        failures = _dbscan_failures(result, adj)
+        return ValidationReport(not failures, failures)
+    if result.method not in ("core", "truss", "clique"):
+        raise ValueError(f"unknown method {result.method!r}")
+    failures = []
+    for k, subs in result.per_k.items():
+        for idx, sg in enumerate(subs):
 
-    if result.method == "core":
-        for k, subs in result.per_k.items():
-            for idx, sg in enumerate(subs):
-                vs = set(sg.vertices)
+            def fail(reason: str, **where) -> None:
+                failures.append(
+                    {"method": result.method, "k": k, "subgraph": idx, **where, "reason": reason}
+                )
+
+            vs = set(sg.vertices)
+            if result.method == "core":
                 for v in sg.vertices:
-                    d = len(adj[v] & vs)
-                    if d < k:
-                        failures.append(
-                            {
-                                "method": "core",
-                                "k": k,
-                                "subgraph": idx,
-                                "vertex": int(v),
-                                "reason": f"induced degree {d} < {k}",
-                            }
-                        )
-    elif result.method == "truss":
-        for k, subs in result.per_k.items():
-            for idx, sg in enumerate(subs):
+                    if (d := len(adj[v] & vs)) < k:
+                        fail(f"induced degree {d} < {k}", vertex=int(v))
+            elif result.method == "truss":
                 edges = sg.edge_list
-                if edges is None:
-                    # fall back to the induced edge set
-                    vs = set(sg.vertices)
-                    edges = tuple(
-                        (int(u), int(v))
-                        for u, v in g.edges
-                        if int(u) in vs and int(v) in vs
-                    )
+                if edges is None:  # fall back to the induced edge set
+                    edges = [(u, v) for u, v in g.edges.tolist() if u in vs and v in vs]
                 nbr: dict[int, set[int]] = {}
                 for u, v in edges:
                     nbr.setdefault(u, set()).add(v)
                     nbr.setdefault(v, set()).add(u)
                 for u, v in edges:
-                    s = len(nbr[u] & nbr[v])
-                    if s < k - 2:
-                        failures.append(
-                            {
-                                "method": "truss",
-                                "k": k,
-                                "subgraph": idx,
-                                "edge": (u, v),
-                                "reason": f"support {s} < {k - 2}",
-                            }
-                        )
-    elif result.method == "clique":
-        for k, subs in result.per_k.items():
-            for idx, sg in enumerate(subs):
-                c = sg.vertices
-                cs = set(c)
-                for i, u in enumerate(c):
-                    for v in c[i + 1 :]:
+                    if (s := len(nbr[u] & nbr[v])) < k - 2:
+                        fail(f"support {s} < {k - 2}", edge=(u, v))
+            else:
+                for i, u in enumerate(sg.vertices):
+                    for v in sg.vertices[i + 1 :]:
                         if v not in adj[u]:
-                            failures.append(
-                                {
-                                    "method": "clique",
-                                    "k": k,
-                                    "subgraph": idx,
-                                    "edge": (int(u), int(v)),
-                                    "reason": "missing edge inside clique",
-                                }
-                            )
+                            fail("missing edge inside clique", edge=(int(u), int(v)))
                 for w in range(g.n):
-                    if w not in cs and cs <= adj[w]:
-                        failures.append(
-                            {
-                                "method": "clique",
-                                "k": k,
-                                "subgraph": idx,
-                                "vertex": int(w),
-                                "reason": "not maximal: vertex adjacent to all members",
-                            }
-                        )
-    elif result.method == "dbscan":
-        reference = k_dbscan(g, result.k_min)
-        ref = {
-            k: [sg.vertices for sg in subs] for k, subs in reference.per_k.items()
-        }
-        got = {k: [sg.vertices for sg in subs] for k, subs in result.per_k.items()}
-        if ref != got:
-            for k in sorted(set(ref) | set(got)):
-                if ref.get(k) != got.get(k):
-                    failures.append(
-                        {
-                            "method": "dbscan",
-                            "k": k,
-                            "reason": "clusters differ from seeded-expansion re-derivation",
-                        }
-                    )
-    else:
-        raise ValueError(f"unknown method {result.method!r}")
+                    if w not in vs and vs <= adj[w]:
+                        fail("not maximal: vertex adjacent to all members", vertex=w)
     return ValidationReport(not failures, failures)
+
+
+def _dbscan_failures(result: DecompositionResult, adj: list[set[int]]) -> list[dict]:
+    """Check each DBSCAN level against the working graph it was drawn from.
+
+    The working graph is every vertex at k_min and the union of the previous
+    level's clusters after that.  Each cluster must lie in it, hold a seed of
+    working-graph degree >= k, be connected and closed under working-graph
+    neighbors, and overlap no other cluster; every seed must be clustered.
+    Levels run from k_min up to the first level without a seed.
+    """
+    failures: list[dict] = []
+    live = set(range(len(adj)))
+    k = result.k_min
+    while True:
+        subs = result.per_k.get(k, [])
+
+        def fail(reason: str, **where) -> None:
+            failures.append({"method": "dbscan", "k": k, **where, "reason": reason})
+
+        clustered: set[int] = set()
+        for idx, sg in enumerate(subs):
+            vs = set(sg.vertices)
+            if vs - live:
+                fail("vertex outside the previous level", subgraph=idx)
+            if vs & clustered:
+                fail("clusters overlap", subgraph=idx)
+            clustered |= vs
+            if not any(len(adj[v] & live) >= k for v in vs):
+                fail(f"no seed of working-graph degree >= {k}", subgraph=idx)
+            reached, frontier = set(sg.vertices[:1]), list(sg.vertices[:1])
+            while frontier:
+                nxt = (adj[frontier.pop()] & vs) - reached
+                reached |= nxt
+                frontier.extend(nxt)
+            if reached != vs:
+                fail("cluster not connected", subgraph=idx)
+            if any((adj[v] & live) - vs for v in vs):
+                fail("working-graph neighbor outside the cluster", subgraph=idx)
+        for v in sorted(live - clustered):
+            if len(adj[v] & live) >= k:
+                fail("seed in no cluster", vertex=v)
+        if not subs:
+            break
+        live = clustered
+        k += 1
+    for extra in sorted(j for j in result.per_k if not result.k_min <= j <= k):
+        failures.append(
+            {"method": "dbscan", "k": extra, "reason": "level outside k_min..last level"}
+        )
+    return failures

@@ -55,11 +55,6 @@ class EventGraph:
             }
         return self._edge_index
 
-    def has_edge(self, u: int, v: int) -> bool:
-        if u > v:
-            u, v = v, u
-        return (u, v) in self.edge_index()
-
 
 @dataclass
 class ComponentLabeling:
@@ -68,6 +63,15 @@ class ComponentLabeling:
     labels: np.ndarray
     count: int
     components: list[np.ndarray]
+
+
+@dataclass(frozen=True)
+class Component:
+    """One connected component of a level: members, edges, mean coefficient."""
+
+    vertices: tuple[int, ...]  # ascending
+    edge_ids: np.ndarray  # ascending, so the edges are in lexicographic order
+    coefficient: float
 
 
 def build_graph(n: int, pairs) -> EventGraph:
@@ -124,17 +128,109 @@ def connected_components(g: EventGraph) -> ComponentLabeling:
     return ComponentLabeling(labels, len(components), components)
 
 
+def triangles(g: EventGraph) -> np.ndarray:
+    """Every triangle once, as rows (u, v, w) with u < v < w, rows sorted.
+
+    The rows of ``g.edges`` starting at u list u's higher neighbors in
+    ascending order; each pair (v, w) of them is a wedge, and a triangle
+    when (v, w) is an edge.
+    """
+    n, m, e = g.n, g.m, g.edges
+    row_end = np.cumsum(np.bincount(e[:, 0], minlength=n))[e[:, 0]]
+    later = row_end - np.arange(m) - 1  # higher neighbors after this one
+    keys = e[:, 0] * n + e[:, 1]
+    out = [np.zeros((0, 3), dtype=np.int64)]
+    # wedges in slices of whole edges, to bound the temporary arrays
+    bounds = np.searchsorted(np.cumsum(later), np.arange(0, later.sum(), 1 << 16))
+    for lo, hi in zip(bounds, [*bounds[1:], m]):
+        cnt = later[lo:hi]
+        first = np.repeat(np.arange(lo, hi), cnt)
+        step = np.arange(len(first)) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+        v, w = e[first, 1], e[first + 1 + step, 1]
+        at = np.minimum(np.searchsorted(keys, v * n + w), m - 1)
+        hit = keys[at] == v * n + w
+        out.append(np.stack([e[first[hit], 0], v[hit], w[hit]], axis=1))
+    return np.concatenate(out)
+
+
+def triangle_edges(g: EventGraph, tris) -> np.ndarray:
+    """Edge ids of the sides (u, v), (u, w), (v, w) of each triangle row."""
+    keys = g.edges[:, 0] * g.n + g.edges[:, 1]
+    return np.searchsorted(keys, tris[:, [0, 0, 1]] * g.n + tris[:, [1, 2, 2]])
+
+
+def _local_terms(deg: np.ndarray, tri: np.ndarray) -> list[float]:
+    """Per-vertex local coefficients 2 t / (d (d - 1)), 0.0 below degree 2."""
+    return (2.0 * tri / np.maximum(deg * (deg - 1), 1)).tolist()
+
+
+def level_components(
+    g: EventGraph, tris, vertex_level, edge_level, triangle_level, k_min: int
+) -> dict[int, list[Component]]:
+    """Connected components of every level k >= k_min of a nested family.
+
+    Level k keeps the vertices, edges and triangles (rows of ``tris``) whose
+    level is >= k; an edge's level must not exceed its endpoints', and a
+    triangle's must be the smallest of its edges'.  One union-find sweep
+    from the top level down adds each edge at its own level, linking the
+    larger root under the smaller, so a component's root is its smallest
+    member.  Each component's mean local clustering coefficient is summed
+    one vertex at a time in ascending id, exactly as
+    :func:`clustering_coefficient` sums it.
+    """
+    n, edges = g.n, g.edges
+    parent = list(range(n))
+
+    def find(v: int) -> int:
+        root = v
+        while parent[root] != root:
+            root = parent[root]
+        while parent[v] != root:
+            parent[v], v = root, parent[v]
+        return root
+
+    deg = np.zeros(n, dtype=np.int64)
+    tri = np.zeros(n, dtype=np.int64)
+    out: dict[int, list[Component]] = {}
+    for k in range(int(vertex_level.max(initial=k_min - 1)), k_min - 1, -1):
+        added = edges[edge_level == k]
+        for a, b in added.tolist():
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[max(ra, rb)] = min(ra, rb)
+        deg += np.bincount(added.ravel(), minlength=n)
+        tri += np.bincount(tris[triangle_level == k].ravel(), minlength=n)
+        terms = _local_terms(deg, tri)
+        alive = np.flatnonzero(edge_level >= k)
+        verts = np.flatnonzero(vertex_level >= k)
+        roots = [find(v) for v in verts.tolist()]
+        members: dict[int, list[int]] = {}
+        total: dict[int, float] = {}
+        for v, r in zip(verts.tolist(), roots):
+            members.setdefault(r, []).append(v)
+            total[r] = total.get(r, 0.0) + terms[v]
+        root_of = np.zeros(n, dtype=np.int64)
+        root_of[verts] = roots
+        edge_root = root_of[edges[alive, 0]]
+        by_root = alive[np.argsort(edge_root, kind="stable")]
+        ends = np.cumsum(np.bincount(edge_root, minlength=n)[list(members)])
+        out[k] = [
+            Component(tuple(vs), ids, total[r] / len(vs))
+            for (r, vs), ids in zip(members.items(), np.split(by_root, ends[:-1]))
+        ]
+    return dict(sorted(out.items()))
+
+
+def component_table(g: EventGraph) -> list[Component]:
+    """Connected components of the whole graph, ordered by smallest member."""
+    tris = triangles(g)
+    flat = [np.zeros(size, dtype=np.int64) for size in (g.n, g.m, len(tris))]
+    return level_components(g, tris, *flat, 0).get(0, [])
+
+
 def compute_supports(g: EventGraph) -> np.ndarray:
-    """Per-edge triangle count via neighbor-set intersection."""
-    adj = g.adjacency_sets()
-    sup = np.zeros(g.m, dtype=np.int64)
-    for e in range(g.m):
-        u, v = int(g.edges[e, 0]), int(g.edges[e, 1])
-        a, b = adj[u], adj[v]
-        if len(a) > len(b):
-            a, b = b, a
-        sup[e] = sum(1 for w in a if w in b)
-    return sup
+    """Per-edge triangle count."""
+    return np.bincount(triangle_edges(g, triangles(g)).ravel(), minlength=g.m)
 
 
 def clustering_coefficient(g: EventGraph, scope=None) -> float:
@@ -143,30 +239,15 @@ def clustering_coefficient(g: EventGraph, scope=None) -> float:
     Vertices with induced degree < 2 contribute 0.  ``scope=None`` means the
     whole graph.
     """
-    if scope is None:
-        verts = list(range(g.n))
-        in_scope = None
-    else:
-        verts = sorted(int(v) for v in set(scope))
-        in_scope = set(verts)
-        if any(v < 0 or v >= g.n for v in verts):
-            raise ValueError("scope vertex out of range")
-    if not verts:
+    if scope is not None:
+        g, _ = induced_subgraph(g, scope)
+    if g.n == 0:
         raise ValueError("clustering coefficient of an empty scope")
-    adj = g.adjacency_sets()
+    tri = np.bincount(triangles(g).ravel(), minlength=g.n)
     total = 0.0
-    for v in verts:
-        nb = adj[v] if in_scope is None else adj[v] & in_scope
-        d = len(nb)
-        if d < 2:
-            continue
-        nbl = sorted(nb)
-        tri = 0
-        for i, a in enumerate(nbl):
-            sa = adj[a]
-            tri += sum(1 for b in nbl[i + 1 :] if b in sa)
-        total += 2.0 * tri / (d * (d - 1))
-    return total / len(verts)
+    for term in _local_terms(g.degrees, tri):
+        total += term
+    return total / g.n
 
 
 def _diameter_floyd_warshall(sub: EventGraph) -> int:
@@ -269,24 +350,26 @@ def read_edge_list(path) -> np.ndarray:
 
 def graph_stats(g: EventGraph) -> dict:
     """Per-component and global stats mirroring the pipeline report columns."""
-    labeling = connected_components(g)
     component_stats = []
-    for comp in labeling.components:
-        sub, _ = induced_subgraph(g, comp)
+    for c in component_table(g):
+        size = len(c.vertices)
+        if size <= 2:
+            dia = size - 1
+        else:
+            local = np.searchsorted(c.vertices, g.edges[c.edge_ids])
+            dia = diameter(build_graph(size, local))
         component_stats.append(
             {
-                "vertices": int(sub.n),
-                "edges": int(sub.m),
-                "diameter": diameter(sub) if sub.n else 0,
-                "mean_clustering_coefficient": clustering_coefficient(sub)
-                if sub.n
-                else 0.0,
+                "vertices": size,
+                "edges": len(c.edge_ids),
+                "diameter": dia,
+                "mean_clustering_coefficient": c.coefficient,
             }
         )
     return {
         "schema_version": SCHEMA_VERSION,
         "vertices": int(g.n),
         "edges": int(g.m),
-        "components": labeling.count,
+        "components": len(component_stats),
         "component_stats": component_stats,
     }

@@ -25,6 +25,10 @@ from .common import SCHEMA_VERSION
 OVERFLOW_POLICIES = ("clamp", "drop")
 
 
+class MarginError(RuntimeError):
+    """A permutation round changed the observed table's spatial margins."""
+
+
 @dataclass(frozen=True)
 class KnoxConfig:
     """Binning and significance parameters for the Knox test."""
@@ -193,7 +197,7 @@ def monte_carlo(
         if table.config.overflow == "clamp":
             # distances never change, so spatial margins must be conserved
             if not np.array_equal(sim.sum(axis=1), table.observed.sum(axis=1)):
-                raise RuntimeError("permutation round broke spatial margins")
+                raise MarginError("permutation round broke spatial margins")
         return sim >= table.observed
 
     ge = np.zeros(table.observed.shape, dtype=np.int64)

@@ -265,6 +265,69 @@ def bfs_diameter(n: int, edges) -> int:
     return best
 
 
+def rebuild_levels(n: int, edges, method: str, k_min: int = 3) -> dict[int, list[tuple]]:
+    """Per-level inventories rebuilt independently at every k.
+
+    Each level's subgraph comes from the oracles above (peeled core numbers,
+    recounted truss numbers, straight-line DBSCAN clusters); its components
+    are found by breadth-first search, each reported as (vertices, edge
+    count, mean coefficient, edge tuple for truss else None).
+    """
+    edges = sorted((min(u, v), max(u, v)) for u, v in edges)
+    levels: dict[int, list[tuple[int, int]]] = {}
+    if method == "core":
+        core = peel_core_numbers(n, edges)
+        for k in range(k_min, max(core, default=0) + 1):
+            levels[k] = [(u, v) for u, v in edges if min(core[u], core[v]) >= k]
+        keep_of = {k: {v for v in range(n) if core[v] >= k} for k in levels}
+    elif method == "truss":
+        tn = recount_truss_numbers(edges)
+        for k in range(k_min, max(tn.values(), default=0) + 1):
+            levels[k] = [e for e in edges if tn[e] >= k]
+        keep_of = {k: {x for e in kept for x in e} for k, kept in levels.items()}
+    elif method == "dbscan":
+        keep_of = {
+            k: {v for c in clusters for v in c}
+            for k, clusters in straightline_dbscan(n, edges, k_min).items()
+        }
+        for k, keep in keep_of.items():
+            levels[k] = [(u, v) for u, v in edges if u in keep and v in keep]
+    else:
+        raise ValueError(method)
+    out: dict[int, list[tuple]] = {}
+    for k, kept in levels.items():
+        adj = defaultdict(list)
+        for u, v in kept:
+            adj[u].append(v)
+            adj[v].append(u)
+        seen: set[int] = set()
+        comps = []
+        for s in sorted(keep_of[k]):
+            if s in seen:
+                continue
+            seen.add(s)
+            queue, comp = [s], []
+            while queue:
+                u = queue.pop(0)
+                comp.append(u)
+                for w in adj[u]:
+                    if w not in seen:
+                        seen.add(w)
+                        queue.append(w)
+            inside = set(comp)
+            comp_edges = tuple(e for e in kept if e[0] in inside)
+            comps.append(
+                (
+                    tuple(sorted(comp)),
+                    len(comp_edges),
+                    matrix_coefficient(n, kept, comp),
+                    comp_edges if method == "truss" else None,
+                )
+            )
+        out[k] = comps
+    return out
+
+
 # ------------------------------------------------------------------ spatial
 
 

@@ -6,8 +6,10 @@ import json
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
+from nearchain import knox as knoxmod
 from nearchain.cli import main
 
 SCHEMA_PATH = (
@@ -321,3 +323,20 @@ def test_workers_flag_keeps_outputs_identical(tmp_path):
     one, four = dirs
     for path in sorted(one.iterdir()):
         assert path.read_bytes() == (four / path.name).read_bytes(), path.name
+
+
+def test_knox_margin_failure_is_named_error(tmp_path, capsys, monkeypatch):
+    raw = synth_csv(tmp_path)
+    run(["ingest", "--output", tmp_path, "--input", raw])
+    real = knoxmod._accumulate
+
+    def skewed(xyt, times, config):
+        table, dropped = real(xyt, times, config)
+        if not np.shares_memory(times, xyt):  # a permuted round, not the observed table
+            table = table.copy()
+            table[0, 0] += 1
+        return table, dropped
+
+    monkeypatch.setattr(knoxmod, "_accumulate", skewed)
+    run(["knox", "--output", tmp_path, "--permutations", "3"], expect=1)
+    assert "error: permutation round broke spatial margins" in capsys.readouterr().err

@@ -11,6 +11,7 @@ from oracles import (
     peel_core_numbers,
     plain_maximal_cliques,
     powerset_maximal_cliques,
+    rebuild_levels,
     recount_truss_numbers,
     straightline_dbscan,
 )
@@ -315,6 +316,44 @@ def test_validate_flags_dbscan_membership_drift():
     assert not report.ok
 
 
+def _k5_k4_dbscan():
+    # disjoint K5 (0-4) and K4 (5-8): clusters {K5, K4} at k=3, {K5} at k=4
+    edges = [(u, v) for u in range(5) for v in range(u + 1, 5)]
+    edges += [(u, v) for u in range(5, 9) for v in range(u + 1, 9)]
+    g = build(9, edges)
+    return g, cohesive.k_dbscan(g)
+
+
+def _cluster(vertices):
+    return cohesive.Subgraph(tuple(vertices), 0, 0.0)
+
+
+K5, K4 = _cluster(range(5)), _cluster(range(5, 9))
+
+
+@pytest.mark.parametrize(
+    "levels, reason",
+    [
+        ({3: [K5, K4], 4: [K5, K4]}, "no seed of working-graph degree >= 4"),
+        ({3: [_cluster(range(9))], 4: [K5]}, "cluster not connected"),
+        ({3: [_cluster(range(4)), K4], 4: [K5]}, "neighbor outside the cluster"),
+        ({3: [K5, K4, K4], 4: [K5]}, "clusters overlap"),
+        ({3: [K4], 4: [K5]}, "vertex outside the previous level"),
+        ({3: [K5], 4: [K5]}, "seed in no cluster"),
+        ({3: [K5, K4]}, "seed in no cluster"),
+        ({3: [K5, K4], 4: [K5], 6: [K5]}, "level outside k_min..last level"),
+    ],
+    ids=["seed", "connected", "closed", "disjoint", "nested", "covered", "last", "gap"],
+)
+def test_validate_flags_each_dbscan_rule(levels, reason):
+    g, result = _k5_k4_dbscan()
+    assert cohesive.validate(result, g).ok
+    result.per_k = levels
+    report = cohesive.validate(result, g)
+    assert not report.ok
+    assert any(reason in f["reason"] for f in report.failures), report.failures
+
+
 def test_validate_rejects_fuzzed_mutations():
     rng = np.random.default_rng(71)
     flagged = 0
@@ -343,10 +382,10 @@ def test_validate_rejects_fuzzed_mutations():
     assert flagged >= 10  # the harness must actually exercise mutations
 
 
-# ------------------------------------------------------- parallel and shape
+# ---------------------------------------------------- one pass and shape
 
 
-def test_decompose_parallel_equals_sequential():
+def test_decompose_equals_per_level_rebuild():
     rng = np.random.default_rng(81)
     # several components of varying density
     edges = []
@@ -357,9 +396,11 @@ def test_decompose_parallel_equals_sequential():
         base += size
     g = build(base, edges)
     for method in ("core", "truss", "dbscan"):
-        seq = cohesive.decompose(g, method, workers=1)
-        par = cohesive.decompose(g, method, workers=4)
-        assert seq.per_k == par.per_k, method
+        want = {
+            k: [cohesive.Subgraph(*row) for row in rows]
+            for k, rows in rebuild_levels(base, edges, method).items()
+        }
+        assert cohesive.decompose(g, method).per_k == want, method
 
 
 def test_decompose_unknown_method():
