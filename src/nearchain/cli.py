@@ -10,6 +10,7 @@ worker counts.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 import time
@@ -53,24 +54,31 @@ def _read_json(path: Path) -> dict:
 
 
 def _events_path(cfg: PipelineConfig, args) -> Path:
-    return Path(args.events) if getattr(args, "events", None) else cfg.outdir / "events.csv"
+    path = Path(args.events) if getattr(args, "events", None) else cfg.outdir / "events.csv"
+    if not path.exists():
+        raise ValueError(f"missing output of stage 'ingest': {path.name}")
+    return path
 
 
 def _load_events(cfg: PipelineConfig, args) -> list:
-    path = _events_path(cfg, args)
-    if not path.exists():
-        raise ValueError(f"missing output of stage 'ingest': {path.name}")
-    return eventsmod.read_events_csv(path)
+    return eventsmod.read_events_csv(_events_path(cfg, args))
+
+
+def _count_events(cfg: PipelineConfig, args) -> int:
+    """Data rows of the cleaned events CSV, without parsing them into events."""
+    with open(_events_path(cfg, args), newline="", encoding="utf-8") as fh:
+        rows = csv.reader(fh)
+        next(rows, None)  # header
+        return sum(1 for row in rows if row)
 
 
 def _load_graph(cfg: PipelineConfig, args):
-    events = _timed("load", lambda: _load_events(cfg, args))
+    n = _timed("load", lambda: _count_events(cfg, args))
     edges_path = Path(args.edges) if getattr(args, "edges", None) else cfg.outdir / "edges.txt"
     if not edges_path.exists():
         raise ValueError(f"missing output of stage 'pairs': {edges_path.name}")
     edges = graphmod.read_edge_list(edges_path)
-    g = _timed("build", lambda: graphmod.build_graph(len(events), edges))
-    return events, g
+    return _timed("build", lambda: graphmod.build_graph(n, edges))
 
 
 # ----------------------------------------------------------------- commands
@@ -169,7 +177,7 @@ def cmd_pairs(cfg: PipelineConfig, args) -> int:
 
 
 def cmd_stats(cfg: PipelineConfig, args) -> int:
-    _, g = _load_graph(cfg, args)
+    g = _load_graph(cfg, args)
     stats = _timed("stats", lambda: graphmod.graph_stats(g))
     cfg.outdir.mkdir(parents=True, exist_ok=True)
     _write_json(cfg.outdir / "graph_stats.json", stats)
@@ -220,7 +228,7 @@ def cmd_decompose(cfg: PipelineConfig, args) -> int:
         members=True if args.members else None,
     )
     dcfg.validate()
-    _, g = _load_graph(cfg, args)
+    g = _load_graph(cfg, args)
     cfg.outdir.mkdir(parents=True, exist_ok=True)
     for method in dcfg.methods:
         result = _timed(

@@ -5,6 +5,13 @@ separation into a contingency table.  Cell significance comes from comparing
 the observed table against tables recomputed under random permutations of the
 time stamps (spatial positions fixed), which preserves both marginal
 processes while breaking any space-time linkage.
+
+Positions never move under a time permutation, so one kernel serves the
+observed table and every permutation round: it walks the pairs in row chunks,
+bins each chunk's distances once, and then bins the chunk's time gaps once per
+round, with the rounds split between worker threads.  The observed table is
+the identity round.  Memory stays per chunk; only the round tables and the
+stacked round times grow with the number of rounds.
 """
 
 from __future__ import annotations
@@ -78,24 +85,28 @@ def _extract_xyt(events) -> np.ndarray:
     return np.array([(e.x, e.y, e.t) for e in events], dtype=np.float64).reshape(-1, 3)
 
 
-def _chunk_rows(n: int) -> int:
-    return max(1, 2_000_000 // max(n, 1))
+def _chunk_rows(n_cols: int) -> int:
+    """Rows per chunk, so that a chunk's pair block stays cache-sized."""
+    return max(1, 65_536 // max(n_cols, 1))
 
 
-def _pair_chunks(xyt: np.ndarray):
-    """Yield (dist, dt) arrays for the upper triangle, row-chunked."""
+def _blocks(xyt: np.ndarray):
+    """Yield (rows, cols, dist) row chunks of the pairwise distance matrix.
+
+    A chunk holds rows ``start:stop`` against columns ``start:n``, so every
+    pair (i, j) with i < j falls in exactly one chunk, above its diagonal;
+    entries on or below the diagonal are not pairs.
+    """
     n = len(xyt)
-    x, y, t = xyt[:, 0], xyt[:, 1], xyt[:, 2]
-    cols = np.arange(n)
-    step = _chunk_rows(n)
-    for start in range(0, n, step):
-        stop = min(start + step, n)
-        keep = cols[None, :] > np.arange(start, stop)[:, None]
+    x, y = xyt[:, 0], xyt[:, 1]
+    start = 0
+    while start < n:
+        stop = min(start + _chunk_rows(n - start), n)
         dist = np.hypot(
-            x[start:stop, None] - x[None, :], y[start:stop, None] - y[None, :]
-        )[keep]
-        dt = np.abs(t[start:stop, None] - t[None, :])[keep]
-        yield dist, dt
+            x[start:stop, None] - x[None, start:], y[start:stop, None] - y[None, start:]
+        )
+        yield slice(start, stop), slice(start, n), dist
+        start = stop
 
 
 def _resolve_bins(xyt: np.ndarray, config: KnoxConfig) -> KnoxConfig:
@@ -103,39 +114,56 @@ def _resolve_bins(xyt: np.ndarray, config: KnoxConfig) -> KnoxConfig:
     db, tb = config.distance_bins, config.time_bins
     if db is not None and tb is not None:
         return config
-    max_d = 0.0
-    max_t = 0.0
-    for dist, dt in _pair_chunks(xyt):
-        if len(dist):
-            max_d = max(max_d, float(dist.max()))
-            max_t = max(max_t, float(dt.max()))
     if db is None:
+        max_d = max(float(dist.max()) for _, _, dist in _blocks(xyt))
         db = max(1, math.ceil(max_d / config.distance_step))
     if tb is None:
-        tb = max(1, math.ceil(max_t / config.time_step))
+        # rounded subtraction is monotone, so no pair's gap exceeds this one
+        t = xyt[:, 2]
+        tb = max(1, math.ceil(float(t.max() - t.min()) / config.time_step))
     return dataclasses.replace(config, distance_bins=db, time_bins=tb)
 
 
-def _accumulate(xyt: np.ndarray, times: np.ndarray, config: KnoxConfig):
-    """Bin all pairs under the given time stamps; return (table, dropped)."""
+def _accumulate(
+    xyt: np.ndarray, times: np.ndarray, config: KnoxConfig, workers: int = 1
+) -> np.ndarray:
+    """Bin all pairs under each round's time stamps; return (rounds, db, tb) tables.
+
+    ``times`` is (rounds, n), one row of time stamps per round.  Each row
+    chunk bins its distances once and then runs every round over them, the
+    rounds split between ``workers`` threads.  Block entries that are not
+    pairs, and under ``drop`` the pairs past the last bin, are counted in a
+    sentinel row or column that is cut off at the end.
+    """
     db, tb = config.distance_bins, config.time_bins
-    shifted = xyt.copy()
-    shifted[:, 2] = times
-    counts = np.zeros(db * tb, dtype=np.int64)
-    dropped = 0
-    for dist, dt in _pair_chunks(shifted):
-        bi = np.floor(dist / config.distance_step).astype(np.int64)
-        bj = np.floor(dt / config.time_step).astype(np.int64)
-        if config.overflow == "clamp":
-            np.minimum(bi, db - 1, out=bi)
-            np.minimum(bj, tb - 1, out=bj)
-        else:
-            inside = (bi < db) & (bj < tb)
-            dropped += int(len(bi) - inside.sum())
-            bi, bj = bi[inside], bj[inside]
-        if len(bi):
-            counts += np.bincount(bi * tb + bj, minlength=db * tb)
-    return counts.reshape(db, tb), dropped
+    cap_d, cap_t = (db - 1, tb - 1) if config.overflow == "clamp" else (db, tb)
+    width = tb + 1
+    counts = np.zeros((len(times), (db + 1) * width), dtype=np.int64)
+    workers = max(1, min(workers, len(times)))
+
+    def run(rounds: range, rows: slice, cols: slice, cell: np.ndarray) -> None:
+        dt = np.empty(cell.shape)
+        bins = np.empty(cell.shape, dtype=np.int64)
+        for r in rounds:
+            t = times[r]
+            np.subtract(t[rows, None], t[None, cols], out=dt)
+            np.abs(dt, out=dt)
+            np.divide(dt, config.time_step, out=dt)
+            np.copyto(bins, dt, casting="unsafe")  # truncation: floor, as dt >= 0
+            np.minimum(bins, cap_t, out=bins)
+            bins += cell
+            counts[r] += np.bincount(bins.ravel(), minlength=counts.shape[1])
+
+    groups = [range(w, len(times), workers) for w in range(workers)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for rows, cols, dist in _blocks(xyt):
+            dist /= config.distance_step
+            cell = dist.astype(np.int64)
+            np.minimum(cell, cap_d, out=cell)
+            cell *= width
+            cell[np.tri(*cell.shape, dtype=bool)] = db * width
+            list(pool.map(lambda g: run(g, rows, cols, cell), groups))
+    return counts.reshape(-1, db + 1, width)[:, :db, :tb]
 
 
 def build_table(events, config: KnoxConfig | None = None) -> KnoxTable:
@@ -146,8 +174,10 @@ def build_table(events, config: KnoxConfig | None = None) -> KnoxTable:
     if len(xyt) < 2:
         raise ValueError("Knox table needs at least 2 events")
     config = _resolve_bins(xyt, config)
-    observed, dropped = _accumulate(xyt, xyt[:, 2], config)
-    return KnoxTable(observed, config, len(xyt), dropped)
+    # the observed table is the identity round of the permutation kernel
+    (observed,) = _accumulate(xyt, xyt[None, :, 2], config)
+    n = len(xyt)
+    return KnoxTable(observed, config, n, n * (n - 1) // 2 - int(observed.sum()))
 
 
 def expected_and_residuals(table: KnoxTable):
@@ -179,35 +209,29 @@ def monte_carlo(
     """Per-cell upper-tail p-values from time-permutation rounds.
 
     Round r draws its permutation from ``default_rng(seed + r)`` (or from the
-    ``permute(r, n)`` hook when given), so results are identical for any
-    worker count.  p = (1 + #{rounds with cell >= observed}) / (rounds + 1).
+    ``permute(r, n)`` hook when given).  All rounds run through one kernel that
+    goes chunk by chunk over the pair rows: a chunk bins its distances once,
+    then ``workers`` threads split the rounds over it, each round counting
+    into its own table, so results are identical for any worker count.
+    p = (1 + #{rounds with cell >= observed}) / (rounds + 1).
     """
     config = config or table.config
     xyt = _extract_xyt(events)
-    times = xyt[:, 2]
     n = len(xyt)
     rounds = config.permutations
-
-    def one_round(r: int):
+    times = np.empty((rounds, n))
+    for r in range(rounds):
         if permute is not None:
             perm = np.asarray(permute(r, n), dtype=np.int64)
         else:
             perm = np.random.default_rng(config.seed + r).permutation(n)
-        sim, _ = _accumulate(xyt, times[perm], table.config)
-        if table.config.overflow == "clamp":
-            # distances never change, so spatial margins must be conserved
-            if not np.array_equal(sim.sum(axis=1), table.observed.sum(axis=1)):
-                raise MarginError("permutation round broke spatial margins")
-        return sim >= table.observed
-
-    ge = np.zeros(table.observed.shape, dtype=np.int64)
-    if workers <= 1:
-        for r in range(rounds):
-            ge += one_round(r)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for hit in pool.map(one_round, range(rounds)):
-                ge += hit
+        times[r] = xyt[perm, 2]
+    sims = _accumulate(xyt, times, table.config, workers)
+    if table.config.overflow == "clamp":
+        # distances never change, so spatial margins must be conserved
+        if not np.all(sims.sum(axis=2) == table.observed.sum(axis=1)):
+            raise MarginError("permutation round broke spatial margins")
+    ge = (sims >= table.observed).sum(axis=0)
     return (1.0 + ge) / (rounds + 1.0)
 
 

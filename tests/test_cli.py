@@ -103,6 +103,11 @@ def test_pipeline_produces_all_outputs(tmp_path):
         "report.json",
     ):
         assert (tmp_path / name).exists(), name
+    # stats counts the event rows; pairs parses every event
+    pairs = json.loads((tmp_path / "pairs_summary.json").read_text())
+    stats = json.loads((tmp_path / "graph_stats.json").read_text())
+    assert stats["vertices"] == pairs["vertices"] == pairs["events"]
+    assert stats["components"] == pairs["components"]
 
 
 def test_report_validates_against_schema(tmp_path):
@@ -148,9 +153,10 @@ def test_ingest_requires_input(tmp_path, capsys):
 
 
 def test_pairs_before_ingest_names_stage(tmp_path, capsys):
-    assert main(["pairs", "--output", str(tmp_path)]) == 1
-    err = capsys.readouterr().err
-    assert "ingest" in err and "events.csv" in err
+    for stage in ("pairs", "stats", "decompose", "knox"):
+        assert main([stage, "--output", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "ingest" in err and "events.csv" in err, stage
 
 
 def test_stats_before_pairs_names_stage(tmp_path, capsys):
@@ -330,12 +336,12 @@ def test_knox_margin_failure_is_named_error(tmp_path, capsys, monkeypatch):
     run(["ingest", "--output", tmp_path, "--input", raw])
     real = knoxmod._accumulate
 
-    def skewed(xyt, times, config):
-        table, dropped = real(xyt, times, config)
-        if not np.shares_memory(times, xyt):  # a permuted round, not the observed table
-            table = table.copy()
-            table[0, 0] += 1
-        return table, dropped
+    def skewed(xyt, times, config, workers=1):
+        tables = real(xyt, times, config, workers)
+        if not np.shares_memory(times, xyt):  # permuted rounds, not the observed table
+            tables = tables.copy()
+            tables[:, 0, 0] += 1
+        return tables
 
     monkeypatch.setattr(knoxmod, "_accumulate", skewed)
     run(["knox", "--output", tmp_path, "--permutations", "3"], expect=1)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -255,6 +257,85 @@ def test_monte_carlo_deterministic_across_workers():
     single = knox.monte_carlo(xyt, table, workers=1)
     for workers in (2, 4, 8):
         assert np.array_equal(single, knox.monte_carlo(xyt, table, workers=workers))
+
+
+def dense_monte_carlo(xyt, observed, config, perms):
+    """p-values from the dense oracle table of every permuted round."""
+    ge = np.zeros(observed.shape, dtype=np.int64)
+    for perm in perms:
+        shuffled = xyt.copy()
+        shuffled[:, 2] = xyt[perm, 2]
+        ge += dense_knox_table(
+            shuffled,
+            config.distance_step,
+            config.time_step,
+            config.distance_bins,
+            config.time_bins,
+            config.overflow,
+        ) >= observed
+    return (1.0 + ge) / (len(perms) + 1.0)
+
+
+@pytest.mark.parametrize("overflow", ["clamp", "drop"])
+@pytest.mark.parametrize("rows", [1, 7])
+def test_monte_carlo_matches_dense_oracle(monkeypatch, overflow, rows):
+    # chunks of 1 and 7 rows make every round cross many chunk boundaries
+    monkeypatch.setattr(knox, "_chunk_rows", lambda n_cols: rows)
+    rng = np.random.default_rng(23)
+    xyt = random_events(rng, 45, extent=1500.0, days=60.0)
+    config = knox.KnoxConfig(
+        distance_step=250.0,
+        time_step=7.0,
+        distance_bins=4,
+        time_bins=5,
+        permutations=12,
+        seed=4,
+        overflow=overflow,
+    )
+    table = knox.build_table(xyt, config)
+    observed = dense_knox_table(xyt, 250.0, 7.0, 4, 5, overflow)
+    assert np.array_equal(table.observed, observed)
+    perms = [np.random.default_rng(4 + r).permutation(len(xyt)) for r in range(12)]
+    want = dense_monte_carlo(xyt, observed, config, perms)
+    for workers in (1, 2, 4):
+        got = knox.monte_carlo(xyt, table, workers=workers)
+        assert np.array_equal(got, want), workers
+
+
+def test_monte_carlo_honours_permute_hook(monkeypatch):
+    monkeypatch.setattr(knox, "_chunk_rows", lambda n_cols: 7)
+    rng = np.random.default_rng(24)
+    xyt = random_events(rng, 40, extent=1500.0, days=60.0)
+    config = knox.KnoxConfig(
+        distance_step=250.0, time_step=7.0, distance_bins=4, time_bins=5, permutations=9
+    )
+    table = knox.build_table(xyt, config)
+    perms = [np.roll(np.arange(len(xyt))[::-1], 3 * r + 1) for r in range(9)]
+    want = dense_monte_carlo(xyt, table.observed, config, perms)
+    for workers in (1, 2):
+        got = knox.monte_carlo(
+            xyt, table, workers=workers, permute=lambda r, n: perms[r]
+        )
+        assert np.array_equal(got, want), workers
+    assert not np.array_equal(want, knox.monte_carlo(xyt, table))
+
+
+def test_monte_carlo_rounds_share_table_under_fast_switching(monkeypatch):
+    # more threads than cores, switching every microsecond, all adding into
+    # one round table: a lost or doubled update would change a p-value
+    monkeypatch.setattr(knox, "_chunk_rows", lambda n_cols: 3)
+    rng = np.random.default_rng(25)
+    xyt = random_events(rng, 60)
+    config = knox.KnoxConfig(distance_bins=4, time_bins=4, permutations=40, seed=2)
+    table = knox.build_table(xyt, config)
+    single = knox.monte_carlo(xyt, table, workers=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = knox.monte_carlo(xyt, table, workers=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(single, threaded)
 
 
 def test_monte_carlo_seed_changes_rounds():
