@@ -8,7 +8,7 @@ space-time clustering with the Knox contingency test.
 
 from .common import SCHEMA_VERSION
 from .events import Event, IngestConfig, RangeWindow, ingest_events
-from .spatial import Box3, RTree3, STPoint, build, neighbor_pairs, range_query
+from .spatial import RTree3, build, neighbor_pairs
 from .graph import (
     EventGraph,
     build_graph,
@@ -50,12 +50,9 @@ __all__ = [
     "IngestConfig",
     "RangeWindow",
     "ingest_events",
-    "Box3",
     "RTree3",
-    "STPoint",
     "build",
     "neighbor_pairs",
-    "range_query",
     "EventGraph",
     "build_graph",
     "clustering_coefficient",

@@ -16,6 +16,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import cohesive
 from . import events as eventsmod
 from . import graph as graphmod
@@ -60,8 +62,12 @@ def _events_path(cfg: PipelineConfig, args) -> Path:
     return path
 
 
-def _load_events(cfg: PipelineConfig, args) -> list:
-    return eventsmod.read_events_csv(_events_path(cfg, args))
+def _load_events(cfg: PipelineConfig, args) -> tuple[np.ndarray, np.ndarray]:
+    """The cleaned events as ``(ids, xyt)``: ids of shape (n,), xyt of shape (n, 3)."""
+    events = eventsmod.read_events_csv(_events_path(cfg, args))
+    ids = np.array([e.id for e in events], dtype=np.int64)
+    xyt = np.array([(e.x, e.y, e.t) for e in events], dtype=np.float64).reshape(-1, 3)
+    return ids, xyt
 
 
 def _count_events(cfg: PipelineConfig, args) -> int:
@@ -144,17 +150,14 @@ def cmd_pairs(cfg: PipelineConfig, args) -> int:
         cfg.pairs, r_x=args.r_x, r_y=args.r_y, r_t=args.r_t
     )
     r.validate()
-    events = _timed("load", lambda: _load_events(cfg, args))
-    if not events:
+    ids, xyt = _timed("load", lambda: _load_events(cfg, args))
+    if not len(ids):
         raise ValueError("no events to pair: the cleaned events file is empty")
-    tree = _timed("index", lambda: spatial.build(events))
+    tree = _timed("index", lambda: spatial.build((ids, xyt)))
     pairs = _timed(
-        "pairs",
-        lambda: spatial.neighbor_pairs(
-            tree, events, r.r_x, r.r_y, r.r_t, workers=cfg.effective_workers()
-        ),
+        "pairs", lambda: spatial.neighbor_pairs(tree, (ids, xyt), r.r_x, r.r_y, r.r_t)
     )
-    g = graphmod.build_graph(len(events), pairs)
+    g = graphmod.build_graph(len(ids), pairs)
     labeling = graphmod.connected_components(g)
     outdir = cfg.outdir
     outdir.mkdir(parents=True, exist_ok=True)
@@ -163,7 +166,7 @@ def cmd_pairs(cfg: PipelineConfig, args) -> int:
         spatial.write_pairs_bin(outdir / "pairs.bin", pairs)
     summary = {
         "schema_version": SCHEMA_VERSION,
-        "events": len(events),
+        "events": len(ids),
         "vertices": g.n,
         "edges": g.m,
         "components": labeling.count,
@@ -257,16 +260,14 @@ def cmd_knox(cfg: PipelineConfig, args) -> int:
         overflow=args.overflow,
     )
     kcfg.validate()
-    events = _timed("load", lambda: _load_events(cfg, args))
-    table = _timed("table", lambda: knoxmod.build_table(events, kcfg))
+    _, xyt = _timed("load", lambda: _load_events(cfg, args))
+    table = _timed("table", lambda: knoxmod.build_table(xyt, kcfg))
     expected, residuals = knoxmod.expected_and_residuals(table)
     pvalues = None
     if table.config.permutations > 0:
         pvalues = _timed(
             "permutations",
-            lambda: knoxmod.monte_carlo(
-                events, table, workers=cfg.effective_workers()
-            ),
+            lambda: knoxmod.monte_carlo(xyt, table, workers=cfg.effective_workers()),
         )
     cfg.outdir.mkdir(parents=True, exist_ok=True)
     knoxmod.emit_heatmap(cfg.outdir, table, expected, residuals, pvalues)
@@ -380,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument(
         "--workers",
         type=int,
-        help="threads for pairs and knox (0 = CPU count); stats and decompose are single-threaded",
+        help="threads for knox (0 = CPU count); pairs, stats and decompose are single-threaded",
     )
 
     parser = argparse.ArgumentParser(

@@ -77,12 +77,12 @@ class KnoxTable:
         return self.n_events * (self.n_events - 1) // 2
 
 
-def _extract_xyt(events) -> np.ndarray:
-    """Accept a list of Event-likes (.x/.y/.t) or an (n, 3) array."""
-    arr = np.asarray(events, dtype=np.float64) if not isinstance(events, list) else None
-    if arr is not None and arr.ndim == 2 and arr.shape[1] == 3:
-        return arr
-    return np.array([(e.x, e.y, e.t) for e in events], dtype=np.float64).reshape(-1, 3)
+def _check_xyt(xyt) -> np.ndarray:
+    """The events as an (n, 3) float array of (x, y, t) rows."""
+    arr = np.asarray(xyt, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[1] != 3:
+        raise ValueError(f"expected events of shape (n, 3) holding (x, y, t), got {arr.shape}")
+    return arr
 
 
 def _chunk_rows(n_cols: int) -> int:
@@ -166,11 +166,11 @@ def _accumulate(
     return counts.reshape(-1, db + 1, width)[:, :db, :tb]
 
 
-def build_table(events, config: KnoxConfig | None = None) -> KnoxTable:
-    """Bin every unordered event pair by distance and time separation."""
+def build_table(xyt, config: KnoxConfig | None = None) -> KnoxTable:
+    """Bin every unordered pair of the (n, 3) events by distance and time gap."""
     config = config or KnoxConfig()
     config.validate()
-    xyt = _extract_xyt(events)
+    xyt = _check_xyt(xyt)
     if len(xyt) < 2:
         raise ValueError("Knox table needs at least 2 events")
     config = _resolve_bins(xyt, config)
@@ -200,9 +200,9 @@ def expected_and_residuals(table: KnoxTable):
 
 
 def monte_carlo(
-    events,
+    xyt,
     table: KnoxTable,
-    config: KnoxConfig | None = None,
+    *,
     workers: int = 1,
     permute: Callable[[int, int], np.ndarray] | None = None,
 ) -> np.ndarray:
@@ -215,8 +215,8 @@ def monte_carlo(
     into its own table, so results are identical for any worker count.
     p = (1 + #{rounds with cell >= observed}) / (rounds + 1).
     """
-    config = config or table.config
-    xyt = _extract_xyt(events)
+    config = table.config
+    xyt = _check_xyt(xyt)
     n = len(xyt)
     rounds = config.permutations
     times = np.empty((rounds, n))
@@ -226,8 +226,8 @@ def monte_carlo(
         else:
             perm = np.random.default_rng(config.seed + r).permutation(n)
         times[r] = xyt[perm, 2]
-    sims = _accumulate(xyt, times, table.config, workers)
-    if table.config.overflow == "clamp":
+    sims = _accumulate(xyt, times, config, workers)
+    if config.overflow == "clamp":
         # distances never change, so spatial margins must be conserved
         if not np.all(sims.sum(axis=2) == table.observed.sum(axis=1)):
             raise MarginError("permutation round broke spatial margins")

@@ -1,43 +1,19 @@
 """3-D R-tree over event points with axis-aligned box range queries.
 
-The production path bulk-loads with sort-tile-recursive packing, which is
-deterministic for a fixed input and keeps every node within the fill bounds.
-Incremental insertion is provided for tests and small updates.
+The tree is bulk-loaded once with sort-tile-recursive packing, which is
+deterministic for a fixed input and keeps every node within the fill bounds,
+and is only queried after that.  Events reach it as an ``(ids, coords)`` pair
+of arrays: ids of shape (n,) and coords of shape (n, 3) holding (x, y, t).
 """
 
 from __future__ import annotations
 
 import struct
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_FANOUT = 16
-DEFAULT_MIN_FILL = 6
-
-
-@dataclass(frozen=True)
-class STPoint:
-    """One indexed point: an event id plus its (x, y, t) coordinates."""
-
-    event_id: int
-    x: float
-    y: float
-    t: float
-
-
-@dataclass(frozen=True)
-class Box3:
-    """Axis-aligned closed box, min and max per (x, y, t) axis."""
-
-    lo: tuple[float, float, float]
-    hi: tuple[float, float, float]
-
-    def __post_init__(self) -> None:
-        for a, b in zip(self.lo, self.hi):
-            if not a <= b:
-                raise ValueError(f"box min {self.lo} exceeds max {self.hi}")
+FANOUT = 16
+MIN_FILL = 6
 
 
 class _Node:
@@ -55,9 +31,6 @@ class _Node:
     def bbox(self) -> tuple[np.ndarray, np.ndarray]:
         return self.lo.min(axis=0), self.hi.max(axis=0)
 
-    def count(self) -> int:
-        return len(self.lo)
-
 
 def _split_even(n: int, parts: int) -> list[int]:
     """Near-equal partition of n items into the given number of parts."""
@@ -68,19 +41,15 @@ def _split_even(n: int, parts: int) -> list[int]:
 
 def _chunk_count(n: int, target: int, min_fill: int) -> int:
     """Number of chunks, bounded so no near-equal chunk drops below min_fill."""
-    return max(1, min(target, n // max(min_fill, 1) or 1))
+    return max(1, min(target, n // min_fill or 1))
 
 
 class RTree3:
     """Balanced 3-D R-tree with box range queries."""
 
-    def __init__(self, fanout: int = DEFAULT_FANOUT, min_fill: int = DEFAULT_MIN_FILL):
-        if fanout < 4 or not 2 <= min_fill <= fanout // 2:
-            raise ValueError(
-                f"need fanout >= 4 and 2 <= min_fill <= fanout/2, got {fanout}/{min_fill}"
-            )
-        self.fanout = fanout
-        self.min_fill = min_fill
+    def __init__(self) -> None:
+        self.fanout = FANOUT
+        self.min_fill = MIN_FILL
         self.root: _Node | None = None
         self.height = 0  # levels above the leaves; a lone leaf root is height 0
         self.size = 0
@@ -142,81 +111,6 @@ class RTree3:
         self.root = nodes[0]
         self.height = height
 
-    # ---------------------------------------------------------------- insert
-
-    def insert(self, point: STPoint) -> None:
-        """Incremental insert (test path); splits keep fill bounds intact."""
-        row = np.array([[point.x, point.y, point.t]], dtype=float)
-        if self.root is None:
-            self.root = self._leaf(row, np.array([point.event_id], dtype=np.int64))
-            self.height = 0
-            self.size = 1
-            return
-        split = self._insert_into(self.root, row[0], point.event_id)
-        if split is not None:
-            left, right = split
-            los = np.stack([left.bbox()[0], right.bbox()[0]])
-            his = np.stack([left.bbox()[1], right.bbox()[1]])
-            self.root = _Node(False, los, his, children=[left, right])
-            self.height += 1
-        self.size += 1
-
-    def _insert_into(self, node: _Node, row: np.ndarray, event_id: int):
-        if node.leaf:
-            node.lo = np.vstack([node.lo, row])
-            node.hi = node.lo
-            node.ids = np.append(node.ids, np.int64(event_id))
-            if node.count() > self.fanout:
-                return self._split_leaf(node)
-            return None
-        # choose the child needing the least volume enlargement
-        lo = np.minimum(node.lo, row)
-        hi = np.maximum(node.hi, row)
-        enlarged = np.prod(hi - lo, axis=1)
-        current = np.prod(node.hi - node.lo, axis=1)
-        growth = enlarged - current
-        best = int(np.lexsort((np.arange(node.count()), current, growth))[0])
-        child = node.children[best]
-        split = self._insert_into(child, row, event_id)
-        if split is None:
-            blo, bhi = child.bbox()
-            node.lo[best], node.hi[best] = blo, bhi
-            return None
-        left, right = split
-        node.children[best] = left
-        node.lo[best], node.hi[best] = left.bbox()
-        rlo, rhi = right.bbox()
-        node.lo = np.vstack([node.lo, rlo[None, :]])
-        node.hi = np.vstack([node.hi, rhi[None, :]])
-        node.children.append(right)
-        if node.count() > self.fanout:
-            return self._split_internal(node)
-        return None
-
-    def _split_leaf(self, node: _Node):
-        order = np.lexsort(
-            (node.ids, node.lo[:, 2], node.lo[:, 1], node.lo[:, 0])
-        )
-        half = node.count() // 2
-        a, b = order[:half], order[half:]
-        return (
-            self._leaf(node.lo[a], node.ids[a]),
-            self._leaf(node.lo[b], node.ids[b]),
-        )
-
-    def _split_internal(self, node: _Node):
-        centers = (node.lo + node.hi) / 2.0
-        order = np.lexsort(
-            (np.arange(node.count()), centers[:, 2], centers[:, 1], centers[:, 0])
-        )
-        half = node.count() // 2
-
-        def make(idx):
-            kids = [node.children[i] for i in idx]
-            return _Node(False, node.lo[idx], node.hi[idx], children=kids)
-
-        return make(order[:half]), make(order[half:])
-
     # ----------------------------------------------------------------- query
 
     def query_ids(self, lo, hi) -> np.ndarray:
@@ -242,97 +136,55 @@ class RTree3:
         return np.sort(np.concatenate(out))
 
 
-def build(points, fanout: int = DEFAULT_FANOUT, min_fill: int = DEFAULT_MIN_FILL) -> RTree3:
-    """Bulk-load an R-tree from STPoints (or an (ids, coords) pair)."""
-    if isinstance(points, tuple) and len(points) == 2:
-        ids = np.asarray(points[0], dtype=np.int64)
-        coords = np.asarray(points[1], dtype=float).reshape(-1, 3)
-    else:
-        points = list(points)
-        # STPoints carry .event_id; Events carry .id
-        if points and hasattr(points[0], "event_id"):
-            ids = np.array([p.event_id for p in points], dtype=np.int64)
-        else:
-            ids = np.array([p.id for p in points], dtype=np.int64)
-        coords = np.array([[p.x, p.y, p.t] for p in points], dtype=float).reshape(-1, 3)
+def _arrays(points) -> tuple[np.ndarray, np.ndarray]:
+    """Check an ``(ids, coords)`` pair: ids of shape (n,), coords of shape (n, 3)."""
+    ids, coords = points
+    ids = np.asarray(ids, dtype=np.int64)
+    coords = np.asarray(coords, dtype=float)
+    if ids.ndim != 1 or coords.shape != (len(ids), 3):
+        raise ValueError(
+            "expected ids of shape (n,) and coords of shape (n, 3),"
+            f" got {ids.shape} and {coords.shape}"
+        )
+    return ids, coords
+
+
+def build(points) -> RTree3:
+    """Bulk-load an R-tree from an ``(ids, coords)`` pair of arrays."""
+    ids, coords = _arrays(points)
     if len(ids) == 0:
         raise ValueError("cannot build an R-tree from zero points")
     if not np.isfinite(coords).all():
         raise ValueError("R-tree points must have finite coordinates")
-    tree = RTree3(fanout=fanout, min_fill=min_fill)
-    leaves = tree._pack_leaves(coords, ids)
-    tree._pack_upward(leaves)
+    tree = RTree3()
+    tree._pack_upward(tree._pack_leaves(coords, ids))
     tree.size = len(ids)
     return tree
 
 
-def range_query(tree: RTree3, box: Box3) -> np.ndarray:
-    """Event ids inside the closed box, sorted ascending."""
-    return tree.query_ids(box.lo, box.hi)
-
-
-def _pairs_for_range(tree, coords, ids, lo_off, hi_off, start, stop):
-    us, vs = [], []
-    for i in range(start, stop):
-        found = tree.query_ids(coords[i] - lo_off, coords[i] + hi_off)
-        found = found[found > ids[i]]
-        if len(found):
-            us.append(np.full(len(found), ids[i], dtype=np.int64))
-            vs.append(found)
-    if not us:
-        return np.zeros((0, 2), dtype=np.int64)
-    return np.stack([np.concatenate(us), np.concatenate(vs)], axis=1)
-
-
-def neighbor_pairs(
-    tree: RTree3,
-    events,
-    r_x: float,
-    r_y: float,
-    r_t: float,
-    workers: int = 1,
-) -> np.ndarray:
+def neighbor_pairs(tree: RTree3, events, r_x: float, r_y: float, r_t: float) -> np.ndarray:
     """All unordered near-repeat pairs {i, j} within the per-axis limits.
 
-    A pair qualifies when |dx| <= r_x, |dy| <= r_y and |dt| <= r_t (closed
-    bounds).  Returns an (m, 2) int64 array with u < v, lexicographically
-    sorted — a canonical set representation.  The result is identical for
-    any worker count.
+    ``events`` is an ``(ids, coords)`` pair of arrays; each event queries the
+    tree with the closed box around it.  A pair qualifies when |dx| <= r_x,
+    |dy| <= r_y and |dt| <= r_t.  Returns an (m, 2) int64 array with u < v,
+    lexicographically sorted — a canonical set representation.
     """
     if not (r_x > 0 and r_y > 0 and r_t > 0):
         raise ValueError("query limits r_x, r_y, r_t must all be positive")
-    if isinstance(events, tuple) and len(events) == 2:
-        ids = np.asarray(events[0], dtype=np.int64)
-        coords = np.asarray(events[1], dtype=float).reshape(-1, 3)
-    else:
-        events = list(events)
-        # Events carry .id/.x/.y/.t; STPoints carry .event_id
-        if events and hasattr(events[0], "event_id"):
-            ids = np.array([e.event_id for e in events], dtype=np.int64)
-        else:
-            ids = np.array([e.id for e in events], dtype=np.int64)
-        coords = np.array([[e.x, e.y, e.t] for e in events], dtype=float).reshape(-1, 3)
-    n = len(ids)
-    if n == 0:
-        return np.zeros((0, 2), dtype=np.int64)
+    ids, coords = _arrays(events)
     off = np.array([r_x, r_y, r_t], dtype=float)
-
-    if workers <= 1:
-        chunks = [_pairs_for_range(tree, coords, ids, off, off, 0, n)]
-    else:
-        bounds = np.linspace(0, n, workers + 1, dtype=int)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(
-                pool.map(
-                    lambda se: _pairs_for_range(tree, coords, ids, off, off, se[0], se[1]),
-                    zip(bounds[:-1], bounds[1:]),
-                )
-            )
-    pairs = np.concatenate(chunks, axis=0)
-    if len(pairs) == 0:
-        return pairs.reshape(0, 2)
-    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-    return pairs[order]
+    us, vs = [], []
+    for i, p in zip(ids, coords):
+        found = tree.query_ids(p - off, p + off)
+        found = found[found > i]
+        if len(found):
+            us.append(np.full(len(found), i, dtype=np.int64))
+            vs.append(found)
+    if not us:
+        return np.zeros((0, 2), dtype=np.int64)
+    pairs = np.stack([np.concatenate(us), np.concatenate(vs)], axis=1)
+    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
 
 
 def write_pairs_bin(path, pairs: np.ndarray) -> None:

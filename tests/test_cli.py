@@ -346,3 +346,53 @@ def test_knox_margin_failure_is_named_error(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(knoxmod, "_accumulate", skewed)
     run(["knox", "--output", tmp_path, "--permutations", "3"], expect=1)
     assert "error: permutation round broke spatial margins" in capsys.readouterr().err
+
+
+# --------------------------------------------------------- degenerate inputs
+
+RAW_HEADER = "x,y,time,category\n"
+DEGENERATE_INPUTS = {
+    "single_event": (["10,20,2019-01-01 00:00:00,a"], [0, 0, 0, 0, 1, 0]),
+    "all_duplicates": (["10,20,2019-01-01 00:00:00,a"] * 3, [0, 0, 0, 0, 1, 0]),
+    "k4_same_point": (
+        [f"10,20,2019-01-01 00:00:00,{c}" for c in "abcd"],
+        [0, 0, 0, 0, 0, 0],
+    ),
+    "pair_at_limits": (
+        ["0,0,2019-01-01 00:00:00,a", "100,100,2019-01-11 00:00:00,a"],
+        [0, 0, 0, 0, 0, 0],
+    ),
+    "header_only": ([], [0, 1, 1, 1, 1, 1]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEGENERATE_INPUTS))
+def test_degenerate_input_through_every_stage(tmp_path, capsys, case):
+    rows, want_codes = DEGENERATE_INPUTS[case]
+    raw = tmp_path / "raw.csv"
+    raw.write_text(RAW_HEADER + "".join(row + "\n" for row in rows))
+    out = tmp_path / "out"
+    stages = [
+        ["ingest", "--input", raw],
+        ["pairs"],
+        ["stats"],
+        ["decompose", "--members"],
+        ["knox", "--permutations", "9"],
+        ["report"],
+    ]
+    codes = []
+    for stage in stages:
+        capsys.readouterr()
+        code = main([str(a) for a in [*stage, "--output", out]])
+        err = capsys.readouterr().err
+        if code == 1:
+            assert any(line.startswith("error: ") for line in err.splitlines()), (stage, err)
+        codes.append(code)
+    assert codes == want_codes
+    if case == "pair_at_limits":  # default limits r_x = r_y = 100 m, r_t = 10 days
+        assert (out / "edges.txt").read_text() == "0 1\n"
+    if case == "k4_same_point":
+        edges = (out / "edges.txt").read_text().splitlines()
+        assert edges == ["0 1", "0 2", "0 3", "1 2", "1 3", "2 3"]
+        core = json.loads((out / "decompose_core.json").read_text())
+        assert core["levels"]["3"]["subgraphs"][0]["vertices"] == [0, 1, 2, 3]

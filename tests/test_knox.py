@@ -69,6 +69,14 @@ def test_fewer_than_two_events_rejected():
         knox.build_table(np.zeros((0, 3)))
 
 
+def test_two_column_events_rejected():
+    with pytest.raises(ValueError, match=r"\(n, 3\)"):
+        knox.build_table(np.zeros((6, 2)))
+    table = knox.build_table(np.zeros((6, 3)), knox.KnoxConfig(permutations=3))
+    with pytest.raises(ValueError, match=r"\(n, 3\)"):
+        knox.monte_carlo(np.zeros((6, 2)), table)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         knox.KnoxConfig(distance_step=0.0).validate()

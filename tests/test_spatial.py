@@ -20,18 +20,23 @@ def random_points(rng, n, span=1000.0, t_span=100.0):
     return np.arange(n, dtype=np.int64), coords
 
 
+def points(*rows):
+    """An (ids, coords) pair numbering the given (x, y, t) rows from 0."""
+    return np.arange(len(rows), dtype=np.int64), np.array(rows, dtype=float).reshape(-1, 3)
+
+
 # ------------------------------------------------------------------- build
 
 
 def test_build_single_point():
-    tree = spatial.build([spatial.STPoint(0, 1.0, 2.0, 3.0)])
+    tree = spatial.build(points((1.0, 2.0, 3.0)))
     assert tree.height == 0
     assert list(tree.query_ids((0, 0, 0), (5, 5, 5))) == [0]
 
 
 def test_build_empty_is_error():
     with pytest.raises(ValueError):
-        spatial.build([])
+        spatial.build(points())
 
 
 def test_build_rejects_non_finite():
@@ -39,8 +44,14 @@ def test_build_rejects_non_finite():
         spatial.build((np.array([0]), np.array([[np.nan, 0.0, 0.0]])))
 
 
+def test_build_rejects_two_column_coords():
+    ids = np.arange(4, dtype=np.int64)
+    with pytest.raises(ValueError, match=r"\(n, 3\)"):
+        spatial.build((ids, np.zeros((4, 2))))
+
+
 def test_build_identical_coordinate_points():
-    pts = [spatial.STPoint(i, 5.0, 5.0, 5.0) for i in range(17)]  # fanout + 1
+    pts = points(*[(5.0, 5.0, 5.0)] * 17)  # fanout + 1
     tree = spatial.build(pts)
     check_rtree(tree, range(17))
     got = tree.query_ids((5, 5, 5), (5, 5, 5))
@@ -69,27 +80,7 @@ def test_build_deterministic():
     assert shape(t1.root) == shape(t2.root)
 
 
-def test_incremental_insert_invariants():
-    rng = np.random.default_rng(40)
-    tree = spatial.build([spatial.STPoint(0, 0.0, 0.0, 0.0)])
-    for i in range(1, 400):
-        tree.insert(
-            spatial.STPoint(
-                i,
-                float(rng.uniform(0, 100)),
-                float(rng.uniform(0, 100)),
-                float(rng.uniform(0, 10)),
-            )
-        )
-    check_rtree(tree, range(400))
-
-
 # ------------------------------------------------------------------ queries
-
-
-def test_box3_validates():
-    with pytest.raises(ValueError):
-        spatial.Box3((0.0, 0.0, 5.0), (1.0, 1.0, 4.0))
 
 
 def test_range_query_whole_and_degenerate():
@@ -98,9 +89,9 @@ def test_range_query_whole_and_degenerate():
     tree = spatial.build((ids, coords))
     lo = coords.min(axis=0)
     hi = coords.max(axis=0)
-    assert list(spatial.range_query(tree, spatial.Box3(lo, hi))) == list(range(300))
+    assert list(tree.query_ids(lo, hi)) == list(range(300))
     point = coords[123]
-    got = spatial.range_query(tree, spatial.Box3(point, point))
+    got = tree.query_ids(point, point)
     assert 123 in got
 
 
@@ -121,11 +112,7 @@ def test_range_query_matches_scan_oracle():
 
 
 def test_query_bounds_are_closed():
-    pts = [
-        spatial.STPoint(0, 0.0, 0.0, 0.0),
-        spatial.STPoint(1, 100.0, 0.0, 0.0),
-    ]
-    tree = spatial.build(pts)
+    tree = spatial.build(points((0.0, 0.0, 0.0), (100.0, 0.0, 0.0)))
     assert list(tree.query_ids((0, 0, 0), (100, 0, 0))) == [0, 1]
     assert list(tree.query_ids((0, 0, 0), (99.999, 0, 0))) == [0]
 
@@ -134,38 +121,45 @@ def test_query_bounds_are_closed():
 
 
 def test_neighbor_pairs_trivial():
-    near = [
-        spatial.STPoint(0, 0.0, 0.0, 0.0),
-        spatial.STPoint(1, 50.0, 0.0, 1.0),
-    ]
+    near = points((0.0, 0.0, 0.0), (50.0, 0.0, 1.0))
     tree = spatial.build(near)
     pairs = spatial.neighbor_pairs(tree, near, 100.0, 100.0, 10.0)
     assert pairs.tolist() == [[0, 1]]
 
-    far = [
-        spatial.STPoint(0, 0.0, 0.0, 0.0),
-        spatial.STPoint(1, 150.0, 0.0, 0.0),
-    ]
+    far = points((0.0, 0.0, 0.0), (150.0, 0.0, 0.0))
     tree = spatial.build(far)
     pairs = spatial.neighbor_pairs(tree, far, 100.0, 100.0, 10.0)
     assert len(pairs) == 0
 
 
 def test_neighbor_pairs_closed_bounds():
-    pts = [
-        spatial.STPoint(0, 0.0, 0.0, 0.0),
-        spatial.STPoint(1, 100.0, 100.0, 10.0),
-    ]
+    pts = points((0.0, 0.0, 0.0), (100.0, 100.0, 10.0))
     tree = spatial.build(pts)
     pairs = spatial.neighbor_pairs(tree, pts, 100.0, 100.0, 10.0)
     assert pairs.tolist() == [[0, 1]]
 
 
 def test_neighbor_pairs_requires_positive_limits():
-    pts = [spatial.STPoint(0, 0.0, 0.0, 0.0)]
+    pts = points((0.0, 0.0, 0.0))
     tree = spatial.build(pts)
     with pytest.raises(ValueError):
         spatial.neighbor_pairs(tree, pts, 0.0, 100.0, 10.0)
+
+
+def test_neighbor_pairs_rejects_ids_shorter_than_coords():
+    # rows past len(ids) would never be queried, so their pairs would vanish
+    pts = points((0.0, 0.0, 0.0), (500.0, 0.0, 0.0), (900.0, 0.0, 0.0), (950.0, 0.0, 0.0))
+    tree = spatial.build(pts)
+    with pytest.raises(ValueError, match=r"\(n, 3\)"):
+        spatial.neighbor_pairs(tree, (np.arange(2), pts[1]), 100.0, 100.0, 10.0)
+    assert spatial.neighbor_pairs(tree, pts, 100.0, 100.0, 10.0).tolist() == [[2, 3]]
+
+
+def test_neighbor_pairs_rejects_two_column_coords():
+    pts = points((0.0, 0.0, 0.0), (50.0, 0.0, 1.0))
+    tree = spatial.build(pts)
+    with pytest.raises(ValueError, match=r"\(n, 3\)"):
+        spatial.neighbor_pairs(tree, (pts[0], pts[1][:, :2]), 100.0, 100.0, 10.0)
 
 
 def test_neighbor_pairs_matches_double_loop():
@@ -183,18 +177,6 @@ def test_neighbor_pairs_matches_double_loop():
     got = spatial.neighbor_pairs(tree, (ids, coords), 100.0, 100.0, 10.0)
     want = double_loop_pairs(coords, 100.0, 100.0, 10.0)
     assert np.array_equal(got, want)
-
-
-def test_neighbor_pairs_worker_counts_agree():
-    rng = np.random.default_rng(65)
-    ids, coords = random_points(rng, 800, span=400.0, t_span=40.0)
-    tree = spatial.build((ids, coords))
-    base = spatial.neighbor_pairs(tree, (ids, coords), 60.0, 60.0, 8.0, workers=1)
-    for workers in (2, 4, 8):
-        other = spatial.neighbor_pairs(
-            tree, (ids, coords), 60.0, 60.0, 8.0, workers=workers
-        )
-        assert np.array_equal(base, other)
 
 
 def test_neighbor_pairs_monotone_in_limits():
