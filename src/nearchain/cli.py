@@ -154,11 +154,8 @@ def cmd_pairs(cfg: PipelineConfig, args) -> int:
     if not len(ids):
         raise ValueError("no events to pair: the cleaned events file is empty")
     tree = _timed("index", lambda: spatial.build((ids, xyt)))
-    pairs = _timed(
-        "pairs", lambda: spatial.neighbor_pairs(tree, (ids, xyt), r.r_x, r.r_y, r.r_t)
-    )
-    g = graphmod.build_graph(len(ids), pairs)
-    labeling = graphmod.connected_components(g)
+    pairs = _timed("pairs", lambda: spatial.neighbor_pairs(tree, r.r_x, r.r_y, r.r_t))
+    _, components = graphmod.component_labels(len(ids), pairs)
     outdir = cfg.outdir
     outdir.mkdir(parents=True, exist_ok=True)
     graphmod.write_edge_list(pairs, outdir / "edges.txt")
@@ -167,15 +164,15 @@ def cmd_pairs(cfg: PipelineConfig, args) -> int:
     summary = {
         "schema_version": SCHEMA_VERSION,
         "events": len(ids),
-        "vertices": g.n,
-        "edges": g.m,
-        "components": labeling.count,
+        "vertices": len(ids),
+        "edges": len(pairs),
+        "components": components,
         "r_x": r.r_x,
         "r_y": r.r_y,
         "r_t": r.r_t,
     }
     _write_json(outdir / "pairs_summary.json", summary)
-    _say(f"pairs: {g.m} edges over {g.n} vertices in {labeling.count} components")
+    _say(f"pairs: {len(pairs)} edges over {len(ids)} vertices in {components} components")
     return 0
 
 

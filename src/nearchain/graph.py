@@ -74,16 +74,20 @@ class Component:
     coefficient: float
 
 
+def _check_endpoints(n: int, edges: np.ndarray) -> None:
+    if len(edges) and (edges.min() < 0 or edges.max() >= n):
+        raise ValueError(
+            f"edge endpoint out of range 0..{n - 1}: "
+            f"min {edges.min()}, max {edges.max()}"
+        )
+
+
 def build_graph(n: int, pairs) -> EventGraph:
     """Build a CSR graph on n vertices from deduplicated undirected pairs."""
     arr = np.asarray(sorted(pairs) if isinstance(pairs, set) else list(pairs), dtype=np.int64)
     arr = arr.reshape(-1, 2)
     if len(arr):
-        if arr.min() < 0 or arr.max() >= n:
-            raise ValueError(
-                f"edge endpoint out of range 0..{n - 1}: "
-                f"min {arr.min()}, max {arr.max()}"
-            )
+        _check_endpoints(n, arr)
         if (arr[:, 0] == arr[:, 1]).any():
             bad = arr[arr[:, 0] == arr[:, 1]][0]
             raise ValueError(f"self-loop at vertex {int(bad[0])}")
@@ -102,30 +106,39 @@ def build_graph(n: int, pairs) -> EventGraph:
     return EventGraph(n, edges, row_offsets, dst[order], eids[order])
 
 
+def component_labels(n: int, edges) -> tuple[np.ndarray, int]:
+    """Dense component labels of n vertices under an (m, 2) edge array, and their count.
+
+    Labels are ordered by smallest member; a vertex without edges is its own
+    component.  Each round hooks every root under the smallest root across
+    its edges, then jumps pointers until every vertex points at its root.  A
+    root only ever hooks under a smaller one, so each component's final
+    root is its smallest member.
+    """
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    _check_endpoints(n, edges)
+    parent = np.arange(n, dtype=np.int64)
+    while True:
+        a, b = parent[edges[:, 0]], parent[edges[:, 1]]
+        split = a != b
+        if not split.any():
+            break
+        np.minimum.at(parent, np.maximum(a, b)[split], np.minimum(a, b)[split])
+        while True:
+            up = parent[parent]
+            if np.array_equal(up, parent):
+                break
+            parent = up
+    roots, labels = np.unique(parent, return_inverse=True)
+    return labels.astype(np.int64), len(roots)
+
+
 def connected_components(g: EventGraph) -> ComponentLabeling:
-    """BFS labeling; singleton vertices form their own components."""
-    labels = np.full(g.n, -1, dtype=np.int64)
-    components: list[np.ndarray] = []
-    ro, ci = g.row_offsets, g.col_indices
-    for seed in range(g.n):
-        if labels[seed] >= 0:
-            continue
-        label = len(components)
-        labels[seed] = label
-        frontier = [seed]
-        members = [seed]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for w in ci[ro[v] : ro[v + 1]]:
-                    w = int(w)
-                    if labels[w] < 0:
-                        labels[w] = label
-                        nxt.append(w)
-                        members.append(w)
-            frontier = nxt
-        components.append(np.array(sorted(members), dtype=np.int64))
-    return ComponentLabeling(labels, len(components), components)
+    """Component labeling of g; singleton vertices form their own components."""
+    labels, count = component_labels(g.n, g.edges)
+    order = np.argsort(labels, kind="stable")  # members ascending within a component
+    ends = np.cumsum(np.bincount(labels, minlength=count))
+    return ComponentLabeling(labels, count, np.split(order, ends[:-1]) if count else [])
 
 
 def triangles(g: EventGraph) -> np.ndarray:

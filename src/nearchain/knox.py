@@ -218,6 +218,8 @@ def monte_carlo(
     config = table.config
     xyt = _check_xyt(xyt)
     n = len(xyt)
+    if n != table.n_events:
+        raise ValueError(f"got {n} events for a Knox table built from {table.n_events}")
     rounds = config.permutations
     times = np.empty((rounds, n))
     for r in range(rounds):

@@ -1,9 +1,13 @@
-"""3-D R-tree over event points with axis-aligned box range queries.
+"""3-D R-tree over event points: box range queries and the near-repeat self-join.
 
 The tree is bulk-loaded once with sort-tile-recursive packing, which is
 deterministic for a fixed input and keeps every node within the fill bounds,
-and is only queried after that.  Events reach it as an ``(ids, coords)`` pair
+and is only read after that.  Events reach it as an ``(ids, coords)`` pair
 of arrays: ids of shape (n,) and coords of shape (n, 3) holding (x, y, t).
+Near-repeat pairs come from joining the tree with itself level by level
+(:func:`neighbor_pairs`); the pair (u, v), u < v by id, is in when coords[v]
+lies in the closed float64 box coords[u] -/+ (r_x, r_y, r_t), the box that
+``query_ids`` around u would search.
 """
 
 from __future__ import annotations
@@ -14,6 +18,8 @@ import numpy as np
 
 FANOUT = 16
 MIN_FILL = 6
+_BATCH = 512  # node pairs per join step, which bounds its scratch arrays
+_UPPER = np.triu(np.ones((FANOUT, FANOUT), dtype=bool), 1)
 
 
 class _Node:
@@ -162,28 +168,109 @@ def build(points) -> RTree3:
     return tree
 
 
-def neighbor_pairs(tree: RTree3, events, r_x: float, r_y: float, r_t: float) -> np.ndarray:
-    """All unordered near-repeat pairs {i, j} within the per-axis limits.
+def _levels(root: _Node):
+    """The tree flattened level by level, top down, for the self-join.
 
-    ``events`` is an ``(ids, coords)`` pair of arrays; each event queries the
-    tree with the closed box around it.  A pair qualifies when |dx| <= r_x,
-    |dy| <= r_y and |dt| <= r_t.  Returns an (m, 2) int64 array with u < v,
-    lexicographically sorted — a canonical set representation.
+    Each internal level is ``(kids, lo, hi)``: kids of shape (N, FANOUT)
+    holds the indices of each node's children in the next level (-1 pads),
+    and lo/hi of shape (3, N') hold the boxes of the next level's nodes, one
+    row per axis.  The leaves follow as ``(L, FANOUT, 3)`` points (NaN pads)
+    and ``(L, FANOUT)`` ids (-1 pads).  A level lists its parents' children
+    in order, so a node pair (a, b) with a <= b only has child pairs (c, d)
+    with c <= d.
+    """
+    internal = []
+    level = [root]
+    while not level[0].leaf:
+        counts = np.array([len(node.children) for node in level])
+        slot = np.arange(FANOUT)
+        kids = np.where(slot < counts[:, None], (np.cumsum(counts) - counts)[:, None] + slot, -1)
+        lo = np.concatenate([node.lo for node in level]).T
+        hi = np.concatenate([node.hi for node in level]).T
+        internal.append((kids, lo, hi))
+        level = [child for node in level for child in node.children]
+    pts = np.full((len(level), FANOUT, 3), np.nan)
+    ids = np.full((len(level), FANOUT), -1, dtype=np.int64)
+    for i, leaf in enumerate(level):
+        pts[i, : len(leaf.ids)] = leaf.lo
+        ids[i, : len(leaf.ids)] = leaf.ids
+    return internal, pts, ids
+
+
+def _batches(a: np.ndarray, b: np.ndarray):
+    """Node pairs (a, b) in slices of at most ``_BATCH`` pairs."""
+    for start in range(0, len(a), _BATCH):
+        yield a[start : start + _BATCH], b[start : start + _BATCH]
+
+
+def _expand(kids, lo, hi, off, a, b):
+    """Child pairs (c, d), c <= d, of the node pairs (a, b) whose boxes may hold a pair.
+
+    A child pair is pruned only when neither box, dilated by ``off``, meets
+    the other.  Float rounding is monotone, so the dilated box [lo - off,
+    hi + off] holds the query box [p - off, p + off] of every point p in
+    [lo, hi], and no pair a query from either side would find is lost.
+    """
+    shape = (len(a), FANOUT, FANOUT)
+    c = np.broadcast_to(kids[a][:, :, None], shape)
+    d = np.broadcast_to(kids[b][:, None, :], shape)
+    keep = (c >= 0) & (d >= 0) & ((a != b)[:, None, None] | (c <= d))
+    c, d = c[keep], d[keep]
+    c_meets = d_meets = True
+    for k in range(3):
+        lc, hc, ld, hd = lo[k][c], hi[k][c], lo[k][d], hi[k][d]
+        c_meets = c_meets & (lc - off[k] <= hd) & (hc + off[k] >= ld)
+        d_meets = d_meets & (ld - off[k] <= hc) & (hd + off[k] >= lc)
+    meet = c_meets | d_meets
+    return c[meet], d[meet]
+
+
+def _leaf_pairs(pts, ids, off, a, b):
+    """Pairs (u, v), u < v by id, of points in the leaf pairs (a, b) that qualify."""
+    pa, pb = pts[a], pts[b]
+    ia, ib = ids[a][:, :, None], ids[b][:, None, :]
+    a_in_b = np.ones((len(a), FANOUT, FANOUT), dtype=bool)
+    b_in_a = a_in_b.copy()
+    for k in range(3):
+        p, q = pa[:, :, k, None], pb[:, None, :, k]
+        b_in_a &= (q >= p - off[k]) & (q <= p + off[k])
+        a_in_b &= (p >= q - off[k]) & (p <= q + off[k])
+    hit = np.where(ia < ib, b_in_a, a_in_b & (ib < ia))  # NaN pads never hit
+    hit &= (a != b)[:, None, None] | _UPPER  # a leaf with itself: each pair once
+    s, i, j = np.nonzero(hit)
+    u, v = ids[a[s], i], ids[b[s], j]
+    return np.minimum(u, v), np.maximum(u, v)
+
+
+def neighbor_pairs(tree: RTree3, r_x: float, r_y: float, r_t: float) -> np.ndarray:
+    """All unordered near-repeat pairs {u, v} of the tree's points within the limits.
+
+    The pair (u, v) with u < v by id qualifies when coords[v] lies in the
+    closed box [coords[u] - off, coords[u] + off], off = (r_x, r_y, r_t),
+    computed in float64: the box a range query around u uses.  The pairs come
+    from one self-join of the bulk-loaded tree (Brinkhoff, Kriegel & Seeger,
+    SIGMOD 1993), run level by level from the node pair (root, root): each
+    surviving node pair (a, b), a <= b, expands to the child pairs whose
+    dilated boxes meet, and each surviving leaf pair is tested point against
+    point.  Both steps run in numpy on batches of at most ``_BATCH`` pairs.
+    Returns an (m, 2) int64 array with u < v, lexicographically sorted — a
+    canonical set representation.
     """
     if not (r_x > 0 and r_y > 0 and r_t > 0):
         raise ValueError("query limits r_x, r_y, r_t must all be positive")
-    ids, coords = _arrays(events)
-    off = np.array([r_x, r_y, r_t], dtype=float)
-    us, vs = [], []
-    for i, p in zip(ids, coords):
-        found = tree.query_ids(p - off, p + off)
-        found = found[found > i]
-        if len(found):
-            us.append(np.full(len(found), i, dtype=np.int64))
-            vs.append(found)
-    if not us:
+    if tree.root is None:
         return np.zeros((0, 2), dtype=np.int64)
-    pairs = np.stack([np.concatenate(us), np.concatenate(vs)], axis=1)
+    off = np.array([r_x, r_y, r_t], dtype=float)
+    internal, pts, ids = _levels(tree.root)
+    a = b = np.zeros(1, dtype=np.int64)
+    for kids, lo, hi in internal:
+        found = [_expand(kids, lo, hi, off, x, y) for x, y in _batches(a, b)]
+        a = np.concatenate([c for c, _ in found])
+        b = np.concatenate([d for _, d in found])
+    found = [_leaf_pairs(pts, ids, off, x, y) for x, y in _batches(a, b)]
+    pairs = np.stack(
+        [np.concatenate([u for u, _ in found]), np.concatenate([v for _, v in found])], axis=1
+    )
     return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
 
 

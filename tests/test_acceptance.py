@@ -84,7 +84,7 @@ def test_acceptance_2_pair_generation_equivalence(acceptance):
         assert len(xyt) == 5000
         ids = np.arange(len(xyt))
         tree = spatial.build((ids, xyt))
-        got = spatial.neighbor_pairs(tree, (ids, xyt), 100.0, 100.0, 10.0)
+        got = spatial.neighbor_pairs(tree, 100.0, 100.0, 10.0)
         want = double_loop_pairs(xyt, 100.0, 100.0, 10.0)
         assert got.shape == want.shape
         assert np.array_equal(got, want)

@@ -84,6 +84,14 @@ def test_components_trivial():
     assert graphmod.connected_components(tri).count == 1
 
 
+def test_component_labels_reject_out_of_range_endpoint():
+    labels, count = graphmod.component_labels(3, np.array([[0, 2]]))
+    assert labels.tolist() == [0, 1, 0] and count == 2
+    for bad in ([[0, 3]], [[-1, 1]]):
+        with pytest.raises(ValueError, match="out of range"):
+            graphmod.component_labels(3, np.array(bad))
+
+
 def test_components_match_closure_oracle():
     rng = np.random.default_rng(3)
     for _ in range(40):

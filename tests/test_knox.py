@@ -77,6 +77,16 @@ def test_two_column_events_rejected():
         knox.monte_carlo(np.zeros((6, 2)), table)
 
 
+@pytest.mark.parametrize("overflow", ["clamp", "drop"])
+def test_monte_carlo_rejects_other_event_count(overflow):
+    rng = np.random.default_rng(25)
+    config = knox.KnoxConfig(permutations=9, overflow=overflow)
+    table = knox.build_table(random_events(rng, 50, extent=1500.0, days=60.0), config)
+    other = random_events(rng, 30, extent=1500.0, days=60.0)
+    with pytest.raises(ValueError, match=r"30 events .* 50"):
+        knox.monte_carlo(other, table)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         knox.KnoxConfig(distance_step=0.0).validate()

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from nearchain import spatial
 from oracles import check_rtree, double_loop_pairs, scan_box_query
@@ -123,19 +125,19 @@ def test_query_bounds_are_closed():
 def test_neighbor_pairs_trivial():
     near = points((0.0, 0.0, 0.0), (50.0, 0.0, 1.0))
     tree = spatial.build(near)
-    pairs = spatial.neighbor_pairs(tree, near, 100.0, 100.0, 10.0)
+    pairs = spatial.neighbor_pairs(tree, 100.0, 100.0, 10.0)
     assert pairs.tolist() == [[0, 1]]
 
     far = points((0.0, 0.0, 0.0), (150.0, 0.0, 0.0))
     tree = spatial.build(far)
-    pairs = spatial.neighbor_pairs(tree, far, 100.0, 100.0, 10.0)
+    pairs = spatial.neighbor_pairs(tree, 100.0, 100.0, 10.0)
     assert len(pairs) == 0
 
 
 def test_neighbor_pairs_closed_bounds():
     pts = points((0.0, 0.0, 0.0), (100.0, 100.0, 10.0))
     tree = spatial.build(pts)
-    pairs = spatial.neighbor_pairs(tree, pts, 100.0, 100.0, 10.0)
+    pairs = spatial.neighbor_pairs(tree, 100.0, 100.0, 10.0)
     assert pairs.tolist() == [[0, 1]]
 
 
@@ -143,23 +145,22 @@ def test_neighbor_pairs_requires_positive_limits():
     pts = points((0.0, 0.0, 0.0))
     tree = spatial.build(pts)
     with pytest.raises(ValueError):
-        spatial.neighbor_pairs(tree, pts, 0.0, 100.0, 10.0)
+        spatial.neighbor_pairs(tree, 0.0, 100.0, 10.0)
 
 
 def test_neighbor_pairs_rejects_ids_shorter_than_coords():
-    # rows past len(ids) would never be queried, so their pairs would vanish
+    # the join reads its points from the tree, so the mismatch is caught when building it
     pts = points((0.0, 0.0, 0.0), (500.0, 0.0, 0.0), (900.0, 0.0, 0.0), (950.0, 0.0, 0.0))
-    tree = spatial.build(pts)
     with pytest.raises(ValueError, match=r"\(n, 3\)"):
-        spatial.neighbor_pairs(tree, (np.arange(2), pts[1]), 100.0, 100.0, 10.0)
-    assert spatial.neighbor_pairs(tree, pts, 100.0, 100.0, 10.0).tolist() == [[2, 3]]
+        spatial.build((np.arange(2), pts[1]))
+    tree = spatial.build(pts)
+    assert spatial.neighbor_pairs(tree, 100.0, 100.0, 10.0).tolist() == [[2, 3]]
 
 
 def test_neighbor_pairs_rejects_two_column_coords():
     pts = points((0.0, 0.0, 0.0), (50.0, 0.0, 1.0))
-    tree = spatial.build(pts)
     with pytest.raises(ValueError, match=r"\(n, 3\)"):
-        spatial.neighbor_pairs(tree, (pts[0], pts[1][:, :2]), 100.0, 100.0, 10.0)
+        spatial.build((pts[0], pts[1][:, :2]))
 
 
 def test_neighbor_pairs_matches_double_loop():
@@ -174,7 +175,7 @@ def test_neighbor_pairs_matches_double_loop():
     )
     ids = np.arange(len(coords), dtype=np.int64)
     tree = spatial.build((ids, coords))
-    got = spatial.neighbor_pairs(tree, (ids, coords), 100.0, 100.0, 10.0)
+    got = spatial.neighbor_pairs(tree, 100.0, 100.0, 10.0)
     want = double_loop_pairs(coords, 100.0, 100.0, 10.0)
     assert np.array_equal(got, want)
 
@@ -183,11 +184,81 @@ def test_neighbor_pairs_monotone_in_limits():
     rng = np.random.default_rng(12)
     ids, coords = random_points(rng, 300, span=300.0, t_span=30.0)
     tree = spatial.build((ids, coords))
-    small = spatial.neighbor_pairs(tree, (ids, coords), 40.0, 40.0, 4.0)
-    large = spatial.neighbor_pairs(tree, (ids, coords), 80.0, 60.0, 9.0)
+    small = spatial.neighbor_pairs(tree, 40.0, 40.0, 4.0)
+    large = spatial.neighbor_pairs(tree, 80.0, 60.0, 9.0)
     small_set = {tuple(p) for p in small.tolist()}
     large_set = {tuple(p) for p in large.tolist()}
     assert small_set <= large_set
+
+
+def box_query_pairs(ids, coords, off):
+    """Pairs (u, v), u < v, with coords[v] in the closed box coords[u] -/+ off, by scans."""
+    out = []
+    for i, p in zip(ids.tolist(), coords):
+        found = scan_box_query(coords, ids, p - off, p + off)
+        out.extend((i, int(j)) for j in found if j > i)
+    return np.array(sorted(out), dtype=np.int64).reshape(-1, 2)
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_neighbor_pairs_leaves_exactly_r_apart(axis):
+    # two stacks of 20 identical points, exactly r apart on one axis, fill
+    # leaves whose boxes touch only after dilation by r: a closed-bound join
+    limits = np.array([100.0, 100.0, 10.0])
+    coords = np.zeros((40, 3))
+    coords[20:, axis] = limits[axis]
+    ids = np.arange(40, dtype=np.int64)
+    tree = spatial.build((ids, coords))
+    assert tree.height >= 1
+    pairs = spatial.neighbor_pairs(tree, *limits)
+    assert len(pairs) == 40 * 39 // 2
+
+
+@pytest.mark.parametrize("batch", [1, 7])
+def test_neighbor_pairs_independent_of_batch_size(monkeypatch, batch):
+    rng = np.random.default_rng(56)
+    centers = rng.uniform(0, 1000, (8, 3))
+    coords = np.concatenate([c + rng.normal(0, [40, 40, 4], (50, 3)) for c in centers])
+    ids = rng.permutation(len(coords)).astype(np.int64)
+    tree = spatial.build((ids, coords))
+    want = spatial.neighbor_pairs(tree, 100.0, 100.0, 10.0)
+    monkeypatch.setattr(spatial, "_BATCH", batch)
+    assert np.array_equal(spatial.neighbor_pairs(tree, 100.0, 100.0, 10.0), want)
+    assert np.array_equal(want, box_query_pairs(ids, coords, np.array([100.0, 100.0, 10.0])))
+
+
+@st.composite
+def lattice_events(draw):
+    """Events on a lattice of half-limit steps, so many pairs sit at exactly +/- r.
+
+    Sizes cover a lone leaf root (n <= FANOUT), one level of leaves and a
+    tree of height 2 or more; small extents force duplicate points and flat
+    boxes, an offset origin makes the box bounds round, and ids are a
+    permutation.
+    """
+    n = draw(
+        st.one_of(
+            st.integers(1, spatial.FANOUT),
+            st.integers(spatial.FANOUT + 1, spatial.FANOUT**2),
+            st.integers(spatial.FANOUT**2 + 1, 400),
+        )
+    )
+    extents = np.array(draw(st.tuples(*[st.integers(0, 30)] * 3)))
+    cells = draw(arrays(np.int64, (n, 3), elements=st.integers(0, 30))) % (extents + 1)
+    origin = np.array(draw(st.sampled_from([(0.0, 0.0, 0.0), (500_000.1, 4_100_000.3, 17.7)])))
+    limits = np.array(draw(st.sampled_from([(100.0, 100.0, 10.0), (0.3, 0.7, 0.1)])))
+    coords = origin + cells * (limits / 2)
+    ids = np.array(draw(st.permutations(range(n))), dtype=np.int64)
+    return ids, coords, limits
+
+
+@settings(max_examples=120, deadline=None)
+@given(lattice_events())
+def test_neighbor_pairs_match_box_query_scan(case):
+    ids, coords, limits = case
+    tree = spatial.build((ids, coords))
+    got = spatial.neighbor_pairs(tree, *limits)
+    assert np.array_equal(got, box_query_pairs(ids, coords, limits))
 
 
 # ------------------------------------------------------------------- binary
