@@ -13,11 +13,10 @@ from .graph import (
     EventGraph,
     build_graph,
     clustering_coefficient,
+    component_labels,
     compute_supports,
-    connected_components,
     diameter,
     graph_stats,
-    induced_subgraph,
 )
 from .cohesive import (
     CliqueSet,
@@ -56,11 +55,10 @@ __all__ = [
     "EventGraph",
     "build_graph",
     "clustering_coefficient",
+    "component_labels",
     "compute_supports",
-    "connected_components",
     "diameter",
     "graph_stats",
-    "induced_subgraph",
     "CliqueSet",
     "DecompositionResult",
     "Subgraph",

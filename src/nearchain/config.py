@@ -8,11 +8,11 @@ configuration; command-line flags override file values field by field.
 from __future__ import annotations
 
 import configparser
-import math
 import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+from .cohesive import DEFAULT_K_MIN, DEFAULT_MAX_CLIQUES
 from .common import ENV_OUTPUT_DIR
 from .events import IngestConfig, RangeWindow
 from .knox import KnoxConfig
@@ -38,8 +38,8 @@ class DecomposeConfig:
     """Method selection and shared knobs for the decompose stage."""
 
     methods: tuple[str, ...] = ALL_METHODS
-    k_min: int = 3
-    max_cliques: int = 10_000_000
+    k_min: int = DEFAULT_K_MIN
+    max_cliques: int = DEFAULT_MAX_CLIQUES
     members: bool = False  # include per-subgraph member ids in reports
 
     def validate(self) -> None:
@@ -79,10 +79,11 @@ def _window_from(section) -> RangeWindow:
         raw = section.get(key)
         return float(raw) if raw not in (None, "") else default
 
+    d = RangeWindow()
     return RangeWindow(
-        x=(bound("x_min", -math.inf), bound("x_max", math.inf)),
-        y=(bound("y_min", -math.inf), bound("y_max", math.inf)),
-        t=(bound("t_min", -math.inf), bound("t_max", math.inf)),
+        x=(bound("x_min", d.x[0]), bound("x_max", d.x[1])),
+        y=(bound("y_min", d.y[0]), bound("y_max", d.y[1])),
+        t=(bound("t_min", d.t[0]), bound("t_max", d.t[1])),
     )
 
 
@@ -105,25 +106,25 @@ def load_config(path=None) -> PipelineConfig:
         cfg.workers = run.getint("workers", cfg.workers)
 
     if parser.has_section("ingest"):
-        ing = parser["ingest"]
+        ing, d = parser["ingest"], cfg.ingest
         cfg.input = ing.get("input", cfg.input)
-        zone = ing.get("utm_zone", "auto").strip()
+        zone = ing.get("utm_zone", str(d.utm_zone)).strip()
         cfg.ingest = IngestConfig(
-            coordinate_mode=ing.get("coordinate_mode", "planar"),
+            coordinate_mode=ing.get("coordinate_mode", d.coordinate_mode),
             utm_zone="auto" if zone == "auto" else int(zone),
-            time_format=ing.get("time_format", cfg.ingest.time_format),
+            time_format=ing.get("time_format", d.time_format),
             window=_window_from(ing),
             category_filter=(
                 frozenset(_split_list(ing["category_filter"]))
                 if ing.get("category_filter")
-                else None
+                else d.category_filter
             ),
-            col_x=ing.get("col_x", "x"),
-            col_y=ing.get("col_y", "y"),
-            col_lat=ing.get("col_lat", "lat"),
-            col_lon=ing.get("col_lon", "lon"),
-            col_time=ing.get("col_time", "time"),
-            col_category=ing.get("col_category", "category"),
+            col_x=ing.get("col_x", d.col_x),
+            col_y=ing.get("col_y", d.col_y),
+            col_lat=ing.get("col_lat", d.col_lat),
+            col_lon=ing.get("col_lon", d.col_lon),
+            col_time=ing.get("col_time", d.col_time),
+            col_category=ing.get("col_category", d.col_category),
         )
 
     if parser.has_section("pairs"):
@@ -135,31 +136,29 @@ def load_config(path=None) -> PipelineConfig:
         )
 
     if parser.has_section("decompose"):
-        dc = parser["decompose"]
+        dc, d = parser["decompose"], cfg.decompose
         cfg.decompose = DecomposeConfig(
-            methods=(
-                _split_list(dc["methods"]) if dc.get("methods") else ALL_METHODS
-            ),
-            k_min=dc.getint("k_min", 3),
-            max_cliques=dc.getint("max_cliques", 10_000_000),
-            members=dc.getboolean("members", False),
+            methods=_split_list(dc["methods"]) if dc.get("methods") else d.methods,
+            k_min=dc.getint("k_min", d.k_min),
+            max_cliques=dc.getint("max_cliques", d.max_cliques),
+            members=dc.getboolean("members", d.members),
         )
 
     if parser.has_section("knox"):
-        kn = parser["knox"]
+        kn, d = parser["knox"], cfg.knox
 
         def opt_int(key: str) -> int | None:
             raw = kn.get(key)
-            return int(raw) if raw not in (None, "") else None
+            return int(raw) if raw not in (None, "") else getattr(d, key)
 
         cfg.knox = KnoxConfig(
-            distance_step=kn.getfloat("distance_step", 100.0),
-            time_step=kn.getfloat("time_step", 14.0),
+            distance_step=kn.getfloat("distance_step", d.distance_step),
+            time_step=kn.getfloat("time_step", d.time_step),
             distance_bins=opt_int("distance_bins"),
             time_bins=opt_int("time_bins"),
-            permutations=kn.getint("permutations", 99),
-            seed=kn.getint("seed", 0),
-            overflow=kn.get("overflow", "clamp"),
+            permutations=kn.getint("permutations", d.permutations),
+            seed=kn.getint("seed", d.seed),
+            overflow=kn.get("overflow", d.overflow),
         )
 
     env_out = os.environ.get(ENV_OUTPUT_DIR)

@@ -1,9 +1,12 @@
 """Undirected simple event graph in CSR form plus structural statistics.
 
 Each undirected edge carries a single id shared by both CSR directions, so
-peeling algorithms update one support slot per edge.  Structural statistics
-cover degrees, connected components, triangle supports, mean local clustering
-coefficients, and exact diameters.
+peeling algorithms update one support slot per edge.  One component engine,
+:func:`component_labels` (hooking plus pointer jumping over an edge array),
+labels the pair graph, every level of a nested k-core / k-truss / k-DBSCAN
+family (:func:`level_components`) and the whole graph for the per-component
+statistics (:func:`component_table`, :func:`graph_stats`): sizes, edge counts,
+mean local clustering coefficients and exact diameters.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ class EventGraph:
         self.col_indices = col_indices
         self.edge_ids = edge_ids
         self._adj_sets: list[set[int]] | None = None
-        self._edge_index: dict[tuple[int, int], int] | None = None
 
     @property
     def degrees(self) -> np.ndarray:
@@ -47,22 +49,6 @@ class EventGraph:
             ]
         return self._adj_sets
 
-    def edge_index(self) -> dict[tuple[int, int], int]:
-        """Map (u, v) with u < v to the undirected edge id (cached)."""
-        if self._edge_index is None:
-            self._edge_index = {
-                (int(u), int(v)): e for e, (u, v) in enumerate(self.edges)
-            }
-        return self._edge_index
-
-
-@dataclass
-class ComponentLabeling:
-    """Per-vertex component ids; labels dense, ordered by smallest member."""
-
-    labels: np.ndarray
-    count: int
-    components: list[np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -133,14 +119,6 @@ def component_labels(n: int, edges) -> tuple[np.ndarray, int]:
     return labels.astype(np.int64), len(roots)
 
 
-def connected_components(g: EventGraph) -> ComponentLabeling:
-    """Component labeling of g; singleton vertices form their own components."""
-    labels, count = component_labels(g.n, g.edges)
-    order = np.argsort(labels, kind="stable")  # members ascending within a component
-    ends = np.cumsum(np.bincount(labels, minlength=count))
-    return ComponentLabeling(labels, count, np.split(order, ends[:-1]) if count else [])
-
-
 def triangles(g: EventGraph) -> np.ndarray:
     """Every triangle once, as rows (u, v, w) with u < v < w, rows sorted.
 
@@ -172,9 +150,9 @@ def triangle_edges(g: EventGraph, tris) -> np.ndarray:
     return np.searchsorted(keys, tris[:, [0, 0, 1]] * g.n + tris[:, [1, 2, 2]])
 
 
-def _local_terms(deg: np.ndarray, tri: np.ndarray) -> list[float]:
+def _local_terms(deg: np.ndarray, tri: np.ndarray) -> np.ndarray:
     """Per-vertex local coefficients 2 t / (d (d - 1)), 0.0 below degree 2."""
-    return (2.0 * tri / np.maximum(deg * (deg - 1), 1)).tolist()
+    return 2.0 * tri / np.maximum(deg * (deg - 1), 1)
 
 
 def level_components(
@@ -184,52 +162,40 @@ def level_components(
 
     Level k keeps the vertices, edges and triangles (rows of ``tris``) whose
     level is >= k; an edge's level must not exceed its endpoints', and a
-    triangle's must be the smallest of its edges'.  One union-find sweep
-    from the top level down adds each edge at its own level, linking the
-    larger root under the smaller, so a component's root is its smallest
-    member.  Each component's mean local clustering coefficient is summed
-    one vertex at a time in ascending id, exactly as
-    :func:`clustering_coefficient` sums it.
+    triangle's must be the smallest of its edges'.  The sweep runs from the
+    top level down.  Degrees and triangle counts grow incrementally, by the
+    edges and triangles whose level is exactly k; each level is labelled
+    afresh by :func:`component_labels` over its edges, whose labels already
+    run in smallest-member order.  A component's mean local clustering
+    coefficient is its ``np.bincount`` weight total, which adds the members'
+    terms one at a time in ascending id, exactly as
+    :func:`clustering_coefficient` sums them.
     """
     n, edges = g.n, g.edges
-    parent = list(range(n))
-
-    def find(v: int) -> int:
-        root = v
-        while parent[root] != root:
-            root = parent[root]
-        while parent[v] != root:
-            parent[v], v = root, parent[v]
-        return root
-
     deg = np.zeros(n, dtype=np.int64)
     tri = np.zeros(n, dtype=np.int64)
+    comp_of = np.zeros(n, dtype=np.int64)
     out: dict[int, list[Component]] = {}
     for k in range(int(vertex_level.max(initial=k_min - 1)), k_min - 1, -1):
-        added = edges[edge_level == k]
-        for a, b in added.tolist():
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-        deg += np.bincount(added.ravel(), minlength=n)
+        deg += np.bincount(edges[edge_level == k].ravel(), minlength=n)
         tri += np.bincount(tris[triangle_level == k].ravel(), minlength=n)
-        terms = _local_terms(deg, tri)
         alive = np.flatnonzero(edge_level >= k)
         verts = np.flatnonzero(vertex_level >= k)
-        roots = [find(v) for v in verts.tolist()]
-        members: dict[int, list[int]] = {}
-        total: dict[int, float] = {}
-        for v, r in zip(verts.tolist(), roots):
-            members.setdefault(r, []).append(v)
-            total[r] = total.get(r, 0.0) + terms[v]
-        root_of = np.zeros(n, dtype=np.int64)
-        root_of[verts] = roots
-        edge_root = root_of[edges[alive, 0]]
-        by_root = alive[np.argsort(edge_root, kind="stable")]
-        ends = np.cumsum(np.bincount(edge_root, minlength=n)[list(members)])
+        labels, _ = component_labels(n, edges[alive])
+        _, comp = np.unique(labels[verts], return_inverse=True)
+        sizes = np.bincount(comp)
+        coefficients = np.bincount(comp, weights=_local_terms(deg, tri)[verts]) / sizes
+        members = verts[np.argsort(comp, kind="stable")].tolist()
+        comp_of[verts] = comp
+        edge_comp = comp_of[edges[alive, 0]]
+        by_comp = alive[np.argsort(edge_comp, kind="stable")]
+        edge_ends = np.cumsum(np.bincount(edge_comp, minlength=len(sizes)))
+        ends = np.cumsum(sizes).tolist()
         out[k] = [
-            Component(tuple(vs), ids, total[r] / len(vs))
-            for (r, vs), ids in zip(members.items(), np.split(by_root, ends[:-1]))
+            Component(tuple(members[end - size : end]), ids, c)
+            for end, size, ids, c in zip(
+                ends, sizes.tolist(), np.split(by_comp, edge_ends[:-1]), coefficients.tolist()
+            )
         ]
     return dict(sorted(out.items()))
 
@@ -246,19 +212,16 @@ def compute_supports(g: EventGraph) -> np.ndarray:
     return np.bincount(triangle_edges(g, triangles(g)).ravel(), minlength=g.m)
 
 
-def clustering_coefficient(g: EventGraph, scope=None) -> float:
-    """Mean local (Watts-Strogatz) coefficient over the scope-induced subgraph.
+def clustering_coefficient(g: EventGraph) -> float:
+    """Mean local (Watts-Strogatz) coefficient of g, summed in ascending vertex id.
 
-    Vertices with induced degree < 2 contribute 0.  ``scope=None`` means the
-    whole graph.
+    Vertices of degree < 2 contribute 0.
     """
-    if scope is not None:
-        g, _ = induced_subgraph(g, scope)
     if g.n == 0:
-        raise ValueError("clustering coefficient of an empty scope")
+        raise ValueError("clustering coefficient of an empty graph")
     tri = np.bincount(triangles(g).ravel(), minlength=g.n)
     total = 0.0
-    for term in _local_terms(g.degrees, tri):
+    for term in _local_terms(g.degrees, tri).tolist():
         total += term
     return total / g.n
 
@@ -306,38 +269,19 @@ def _diameter_bfs(sub: EventGraph) -> int:
 FLOYD_WARSHALL_LIMIT = 512
 
 
-def diameter(g: EventGraph, component=None) -> int:
-    """Exact unweighted diameter of a connected graph or component.
+def diameter(g: EventGraph) -> int:
+    """Exact unweighted diameter of a connected graph.
 
     Uses Floyd-Warshall up to 512 vertices and repeated BFS above that;
     both are exact on unweighted graphs.  Disconnected input is an error.
     """
-    if component is None:
-        sub = g
-    else:
-        sub, _ = induced_subgraph(g, component)
-    if sub.n == 0:
+    if g.n == 0:
         raise ValueError("diameter of an empty graph")
-    if sub.n == 1:
+    if g.n == 1:
         return 0
-    if sub.n <= FLOYD_WARSHALL_LIMIT:
-        return _diameter_floyd_warshall(sub)
-    return _diameter_bfs(sub)
-
-
-def induced_subgraph(g: EventGraph, vertices) -> tuple[EventGraph, np.ndarray]:
-    """Subgraph on the vertex set plus the sorted original-id remap array."""
-    vs = np.unique(np.asarray(list(vertices), dtype=np.int64))
-    if len(vs) and (vs[0] < 0 or vs[-1] >= g.n):
-        raise ValueError("induced vertex out of range")
-    if g.m:
-        mask = np.zeros(g.n, dtype=bool)
-        mask[vs] = True
-        keep = mask[g.edges[:, 0]] & mask[g.edges[:, 1]]
-        en = np.searchsorted(vs, g.edges[keep])
-    else:
-        en = np.zeros((0, 2), dtype=np.int64)
-    return build_graph(len(vs), en), vs
+    if g.n <= FLOYD_WARSHALL_LIMIT:
+        return _diameter_floyd_warshall(g)
+    return _diameter_bfs(g)
 
 
 def write_edge_list(edges, path) -> None:
@@ -349,15 +293,25 @@ def write_edge_list(edges, path) -> None:
 
 
 def read_edge_list(path) -> np.ndarray:
-    """Load an edge-list file written by :func:`write_edge_list`."""
+    """Load an edge-list file written by :func:`write_edge_list`.
+
+    A non-blank line that is not two integers is a ``ValueError`` naming the
+    file and the line.
+    """
     rows = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            u, v = line.split()
-            rows.append((int(u), int(v)))
+            try:
+                u, v = line.split()
+                rows.append((int(u), int(v)))
+            except ValueError:
+                raise ValueError(
+                    f"{path}: line {lineno}: expected 'u v' (two integer vertex ids), "
+                    f"got {line!r}"
+                ) from None
     return np.asarray(rows, dtype=np.int64).reshape(-1, 2)
 
 

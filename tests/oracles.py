@@ -75,6 +75,11 @@ def adjacency_matrix(n: int, edges) -> np.ndarray:
     return mat
 
 
+def edge_index(g) -> dict[tuple[int, int], int]:
+    """Map each row (u, v) of ``g.edges`` to its row number, the edge id."""
+    return {(u, v): e for e, (u, v) in enumerate(g.edges.tolist())}
+
+
 def closure_components(n: int, edges) -> list[int]:
     """Component labels by boolean transitive closure (dense matrix powers)."""
     reach = adjacency_matrix(n, edges) | np.eye(n, dtype=bool)

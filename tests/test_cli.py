@@ -11,6 +11,7 @@ import pytest
 
 from nearchain import knox as knoxmod
 from nearchain.cli import main
+from nearchain.config import load_config
 
 SCHEMA_PATH = (
     Path(__file__).resolve().parent.parent
@@ -166,6 +167,15 @@ def test_stats_before_pairs_names_stage(tmp_path, capsys):
     assert "pairs" in capsys.readouterr().err
 
 
+def test_malformed_edge_list_names_file(tmp_path, capsys):
+    raw = synth_csv(tmp_path)
+    run(["ingest", "--output", tmp_path, "--input", raw])
+    (tmp_path / "bad.txt").write_text("0 1\n0 1 2\n")
+    assert main(["stats", "--output", str(tmp_path), "--edges", str(tmp_path / "bad.txt")]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "bad.txt" in err and "line 2" in err
+
+
 def test_report_before_pipeline_names_stage(tmp_path, capsys):
     assert main(["report", "--output", str(tmp_path)]) == 1
     assert "ingest" in capsys.readouterr().err
@@ -218,6 +228,12 @@ def test_config_file_applies_and_flags_override(tmp_path):
     wide = json.loads((tmp_path / "pairs_summary.json").read_text())
     assert wide["r_x"] == 400.0
     assert wide["edges"] >= narrow["edges"]
+
+
+def test_empty_config_sections_load_the_defaults(tmp_path):
+    cfg = tmp_path / "empty.ini"
+    cfg.write_text("[run]\n[ingest]\n[pairs]\n[decompose]\n[knox]\n")
+    assert load_config(cfg) == load_config(None)
 
 
 def test_unreadable_config_is_fatal(tmp_path, capsys):

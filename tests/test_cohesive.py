@@ -8,6 +8,7 @@ import pytest
 from nearchain import cohesive, graph as graphmod
 from conftest import FIG_EDGES, FIG_N, random_graph
 from oracles import (
+    edge_index,
     peel_core_numbers,
     plain_maximal_cliques,
     powerset_maximal_cliques,
@@ -110,7 +111,7 @@ def test_truss_numbers_match_recount_oracle():
         g = build(n, edges)
         tn = cohesive.truss_numbers(g)
         want = recount_truss_numbers(edges)
-        eidx = g.edge_index()
+        eidx = edge_index(g)
         for (u, v), k in want.items():
             assert tn[eidx[(u, v)]] == k, (u, v)
 
@@ -416,7 +417,7 @@ def test_containment_theorems_quick():
         g = build(n, edges)
         core = cohesive.core_numbers(g)
         tn = cohesive.truss_numbers(g)
-        eidx = g.edge_index()
+        eidx = edge_index(g)
         for (u, v), e in eidx.items():
             k = int(tn[e])
             if k >= 3:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -100,6 +101,20 @@ def test_dbscan_and_stats_coefficients_match_networkx(graph, k_min):
         assert row["mean_clustering_coefficient"] == pytest.approx(
             nx.average_clustering(sub), abs=1e-12
         )
+
+
+@PROPERTY
+@given(graphs())
+def test_component_labels_match_networkx(graph):
+    n, edges = graph
+    labels, count = graphmod.component_labels(n, np.array(edges, dtype=np.int64).reshape(-1, 2))
+    comps = sorted(nx.connected_components(nx_graph(n, edges)), key=min)
+    want = [0] * n
+    for i, comp in enumerate(comps):
+        for v in comp:
+            want[v] = i
+    assert labels.tolist() == want
+    assert count == len(comps)
 
 
 @PROPERTY
