@@ -5,6 +5,10 @@ edge list, JSON summaries), so each phase can be run, timed, and tested on
 its own.  Diagnostics and timings go to stderr; data goes to files.  With a
 fixed seed, every stage's outputs are byte-identical across reruns and
 worker counts.
+
+Each command imports the compute modules it runs (and numpy with them) inside
+its own body, so ``--help`` and argument errors load only the standard
+library, ``common`` and ``config``.
 """
 
 from __future__ import annotations
@@ -15,23 +19,21 @@ import json
 import sys
 import time
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import cohesive
-from . import events as eventsmod
-from . import graph as graphmod
-from . import knox as knoxmod
-from . import spatial
-from . import synth as synthmod
-from .common import SCHEMA_VERSION
+from .common import SCHEMA_VERSION, MarginError
 from .config import (
     ALL_METHODS,
     PipelineConfig,
+    RangeWindow,
     load_config,
     override,
 )
-from .events import RangeWindow
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .cohesive import DecompositionResult
 
 
 def _say(msg: str) -> None:
@@ -64,6 +66,10 @@ def _events_path(cfg: PipelineConfig, args) -> Path:
 
 def _load_events(cfg: PipelineConfig, args) -> tuple[np.ndarray, np.ndarray]:
     """The cleaned events as ``(ids, xyt)``: ids of shape (n,), xyt of shape (n, 3)."""
+    import numpy as np
+
+    from . import events as eventsmod
+
     events = eventsmod.read_events_csv(_events_path(cfg, args))
     ids = np.array([e.id for e in events], dtype=np.int64)
     xyt = np.array([(e.x, e.y, e.t) for e in events], dtype=np.float64).reshape(-1, 3)
@@ -78,11 +84,22 @@ def _count_events(cfg: PipelineConfig, args) -> int:
         return sum(1 for row in rows if row)
 
 
+def _stale(stage: str, detail: str) -> ValueError:
+    return ValueError(f"stale output of stage '{stage}': {detail} (rerun {stage})")
+
+
 def _load_graph(cfg: PipelineConfig, args):
+    from . import graph as graphmod
+
     n = _timed("load", lambda: _count_events(cfg, args))
-    edges_path = Path(args.edges) if getattr(args, "edges", None) else cfg.outdir / "edges.txt"
+    edges_path = Path(args.edges) if args.edges else cfg.outdir / "edges.txt"
     if not edges_path.exists():
         raise ValueError(f"missing output of stage 'pairs': {edges_path.name}")
+    summary_path = cfg.outdir / "pairs_summary.json"
+    if not (args.events or args.edges) and summary_path.exists():
+        paired = _read_json(summary_path)["events"]
+        if paired != n:
+            raise _stale("pairs", f"pairs_summary.json has {paired} events, events.csv has {n}")
     edges = graphmod.read_edge_list(edges_path)
     return _timed("build", lambda: graphmod.build_graph(n, edges))
 
@@ -91,6 +108,8 @@ def _load_graph(cfg: PipelineConfig, args):
 
 
 def cmd_ingest(cfg: PipelineConfig, args) -> int:
+    from . import events as eventsmod
+
     icfg = cfg.ingest
     window = icfg.window
     bounds = (args.x_min, args.x_max, args.y_min, args.y_max, args.t_min, args.t_max)
@@ -146,6 +165,8 @@ def cmd_ingest(cfg: PipelineConfig, args) -> int:
 
 
 def cmd_pairs(cfg: PipelineConfig, args) -> int:
+    from . import graph as graphmod, spatial
+
     r = override(
         cfg.pairs, r_x=args.r_x, r_y=args.r_y, r_t=args.r_t
     )
@@ -177,6 +198,8 @@ def cmd_pairs(cfg: PipelineConfig, args) -> int:
 
 
 def cmd_stats(cfg: PipelineConfig, args) -> int:
+    from . import graph as graphmod
+
     g = _load_graph(cfg, args)
     stats = _timed("stats", lambda: graphmod.graph_stats(g))
     cfg.outdir.mkdir(parents=True, exist_ok=True)
@@ -185,7 +208,7 @@ def cmd_stats(cfg: PipelineConfig, args) -> int:
     return 0
 
 
-def _decomposition_report(result: cohesive.DecompositionResult, members: bool) -> dict:
+def _decomposition_report(result: DecompositionResult, members: bool) -> dict:
     levels = {}
     for k, subs in sorted(result.per_k.items()):
         hist: dict[int, int] = {}
@@ -218,6 +241,8 @@ def _decomposition_report(result: cohesive.DecompositionResult, members: bool) -
 
 
 def cmd_decompose(cfg: PipelineConfig, args) -> int:
+    from . import cohesive
+
     dcfg = override(
         cfg.decompose,
         methods=tuple(s.strip() for s in args.methods.split(",") if s.strip())
@@ -246,6 +271,8 @@ def cmd_decompose(cfg: PipelineConfig, args) -> int:
 
 
 def cmd_knox(cfg: PipelineConfig, args) -> int:
+    from . import knox as knoxmod
+
     kcfg = override(
         cfg.knox,
         distance_step=args.distance_step,
@@ -276,6 +303,8 @@ def cmd_knox(cfg: PipelineConfig, args) -> int:
 
 
 def _knox_highlights(outdir: Path, meta: dict) -> dict:
+    from . import knox as knoxmod
+
     observed = knoxmod.load_grid(outdir / "observed.csv")
     expected = knoxmod.load_grid(outdir / "expected.csv")
     residuals = knoxmod.load_grid(outdir / "residuals.csv")
@@ -313,12 +342,22 @@ def cmd_report(cfg: PipelineConfig, args) -> int:
         "dataset": need("ingest", "ingest_summary.json"),
         "graph": need("pairs", "pairs_summary.json"),
     }
+    events, paired = report["dataset"]["events"], report["graph"]["events"]
+    if events != paired:
+        raise _stale(
+            "pairs", f"pairs_summary.json has {paired} events, ingest_summary.json has {events}"
+        )
     stats_path = outdir / "graph_stats.json"
     if stats_path.exists():
-        report["graph"] = {
-            **report["graph"],
-            "component_stats": _read_json(stats_path)["component_stats"],
-        }
+        rows = _read_json(stats_path)["component_stats"]
+        components = report["graph"]["components"]
+        if len(rows) != components:
+            raise _stale(
+                "stats",
+                f"graph_stats.json has {len(rows)} components,"
+                f" pairs_summary.json has {components}",
+            )
+        report["graph"] = {**report["graph"], "component_stats": rows}
     decompose = {}
     for method in ALL_METHODS:
         path = outdir / f"decompose_{method}.json"
@@ -349,6 +388,8 @@ def cmd_report(cfg: PipelineConfig, args) -> int:
 
 
 def cmd_synth(cfg: PipelineConfig, args) -> int:
+    from . import synth as synthmod
+
     scfg = synthmod.SynthConfig(
         background=args.background,
         clusters=args.clusters,
@@ -463,7 +504,7 @@ def main(argv=None) -> int:
         if args.workers is not None:
             cfg.workers = args.workers
         return COMMANDS[args.command](cfg, args)
-    except (ValueError, OSError, knoxmod.MarginError) as exc:
+    except (ValueError, OSError, MarginError) as exc:
         _say(f"error: {exc}")
         return 1
 

@@ -13,9 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import graph as graphmod
-
-DEFAULT_K_MIN = 3
-DEFAULT_MAX_CLIQUES = 10_000_000
+from .config import DEFAULT_K_MIN, DEFAULT_MAX_CLIQUES
 
 
 @dataclass(frozen=True)

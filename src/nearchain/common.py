@@ -7,3 +7,7 @@ SCHEMA_VERSION = "1"
 
 #: Environment variable that overrides the configured output directory.
 ENV_OUTPUT_DIR = "NEARCHAIN_OUT"
+
+
+class MarginError(RuntimeError):
+    """A permutation round changed the observed table's spatial margins."""

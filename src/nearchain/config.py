@@ -3,21 +3,75 @@
 Sections: [run] (output, workers), [ingest], [pairs], [decompose], [knox].
 Every value has a default, so an absent file or section still yields a full
 configuration; command-line flags override file values field by field.
+
+This module imports only the standard library, so the CLI can parse its
+arguments and configuration without numpy.  The stage settings that
+``events``, ``cohesive`` and ``knox`` use live here and are re-exported there.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
 import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .cohesive import DEFAULT_K_MIN, DEFAULT_MAX_CLIQUES
 from .common import ENV_OUTPUT_DIR
-from .events import IngestConfig, RangeWindow
-from .knox import KnoxConfig
 
 ALL_METHODS = ("core", "truss", "dbscan", "clique")
+OVERFLOW_POLICIES = ("clamp", "drop")
+DEFAULT_K_MIN = 3
+DEFAULT_MAX_CLIQUES = 10_000_000
+
+
+@dataclass(frozen=True)
+class RangeWindow:
+    """Closed valid range per axis; events outside any axis are dropped."""
+
+    x: tuple[float, float] = (-math.inf, math.inf)
+    y: tuple[float, float] = (-math.inf, math.inf)
+    t: tuple[float, float] = (-math.inf, math.inf)
+
+    def __post_init__(self) -> None:
+        for name in ("x", "y", "t"):
+            lo, hi = getattr(self, name)
+            if not lo < hi:
+                raise ValueError(f"range window {name}: min ({lo}) must be < max ({hi})")
+
+    def contains(self, x: float, y: float, t: float) -> bool:
+        return (
+            self.x[0] <= x <= self.x[1]
+            and self.y[0] <= y <= self.y[1]
+            and self.t[0] <= t <= self.t[1]
+        )
+
+
+@dataclass
+class IngestConfig:
+    """Column mapping, coordinate convention, and validation settings."""
+
+    coordinate_mode: str = "planar"  # "planar" | "geographic"
+    utm_zone: int | str = "auto"
+    time_format: str = "%Y-%m-%d %H:%M:%S"
+    window: RangeWindow = field(default_factory=RangeWindow)
+    category_filter: frozenset[str] | None = None
+    col_x: str = "x"
+    col_y: str = "y"
+    col_lat: str = "lat"
+    col_lon: str = "lon"
+    col_time: str = "time"
+    col_category: str = "category"
+
+    def __post_init__(self) -> None:
+        if self.coordinate_mode not in ("planar", "geographic"):
+            raise ValueError(
+                f"coordinate_mode must be 'planar' or 'geographic', got {self.coordinate_mode!r}"
+            )
+        if self.utm_zone != "auto":
+            zone = int(self.utm_zone)
+            if not 1 <= zone <= 60:
+                raise ValueError(f"utm_zone must be 1..60 or 'auto', got {self.utm_zone!r}")
 
 
 @dataclass
@@ -52,6 +106,33 @@ class DecomposeConfig:
             raise ValueError("k_min must be >= 1")
         if self.max_cliques < 1:
             raise ValueError("max_cliques must be >= 1")
+
+
+@dataclass(frozen=True)
+class KnoxConfig:
+    """Binning and significance parameters for the Knox test."""
+
+    distance_step: float = 100.0
+    time_step: float = 14.0
+    distance_bins: int | None = None  # None: cover the widest observed pair
+    time_bins: int | None = None
+    permutations: int = 99
+    seed: int = 0
+    overflow: str = "clamp"  # or "drop": pairs beyond the last bin
+
+    def validate(self) -> None:
+        if not (self.distance_step > 0 and self.time_step > 0):
+            raise ValueError("distance_step and time_step must be positive")
+        for name in ("distance_bins", "time_bins"):
+            v = getattr(self, name)
+            if v is not None and v < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.permutations < 0:
+            raise ValueError("permutations must be >= 0")
+        if self.overflow not in OVERFLOW_POLICIES:
+            raise ValueError(
+                f"overflow must be one of {OVERFLOW_POLICIES}, got {self.overflow!r}"
+            )
 
 
 @dataclass

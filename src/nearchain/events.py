@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
 
@@ -17,6 +17,7 @@ import numpy as np
 
 from . import projection
 from .common import SCHEMA_VERSION
+from .config import IngestConfig, RangeWindow
 
 REASON_MISSING = "missing-field"
 REASON_NUMBER = "bad-number"
@@ -50,55 +51,6 @@ class Event:
     t: float
     category: str
     multiplicity: int = 1
-
-
-@dataclass(frozen=True)
-class RangeWindow:
-    """Closed valid range per axis; events outside any axis are dropped."""
-
-    x: tuple[float, float] = (-math.inf, math.inf)
-    y: tuple[float, float] = (-math.inf, math.inf)
-    t: tuple[float, float] = (-math.inf, math.inf)
-
-    def __post_init__(self) -> None:
-        for name in ("x", "y", "t"):
-            lo, hi = getattr(self, name)
-            if not lo < hi:
-                raise ValueError(f"range window {name}: min ({lo}) must be < max ({hi})")
-
-    def contains(self, x: float, y: float, t: float) -> bool:
-        return (
-            self.x[0] <= x <= self.x[1]
-            and self.y[0] <= y <= self.y[1]
-            and self.t[0] <= t <= self.t[1]
-        )
-
-
-@dataclass
-class IngestConfig:
-    """Column mapping, coordinate convention, and validation settings."""
-
-    coordinate_mode: str = "planar"  # "planar" | "geographic"
-    utm_zone: int | str = "auto"
-    time_format: str = "%Y-%m-%d %H:%M:%S"
-    window: RangeWindow = field(default_factory=RangeWindow)
-    category_filter: frozenset[str] | None = None
-    col_x: str = "x"
-    col_y: str = "y"
-    col_lat: str = "lat"
-    col_lon: str = "lon"
-    col_time: str = "time"
-    col_category: str = "category"
-
-    def __post_init__(self) -> None:
-        if self.coordinate_mode not in ("planar", "geographic"):
-            raise ValueError(
-                f"coordinate_mode must be 'planar' or 'geographic', got {self.coordinate_mode!r}"
-            )
-        if self.utm_zone != "auto":
-            zone = int(self.utm_zone)
-            if not 1 <= zone <= 60:
-                raise ValueError(f"utm_zone must be 1..60 or 'auto', got {self.utm_zone!r}")
 
 
 @dataclass

@@ -27,40 +27,8 @@ from typing import Callable
 
 import numpy as np
 
-from .common import SCHEMA_VERSION
-
-OVERFLOW_POLICIES = ("clamp", "drop")
-
-
-class MarginError(RuntimeError):
-    """A permutation round changed the observed table's spatial margins."""
-
-
-@dataclass(frozen=True)
-class KnoxConfig:
-    """Binning and significance parameters for the Knox test."""
-
-    distance_step: float = 100.0
-    time_step: float = 14.0
-    distance_bins: int | None = None  # None: cover the widest observed pair
-    time_bins: int | None = None
-    permutations: int = 99
-    seed: int = 0
-    overflow: str = "clamp"  # or "drop": pairs beyond the last bin
-
-    def validate(self) -> None:
-        if not (self.distance_step > 0 and self.time_step > 0):
-            raise ValueError("distance_step and time_step must be positive")
-        for name in ("distance_bins", "time_bins"):
-            v = getattr(self, name)
-            if v is not None and v < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.permutations < 0:
-            raise ValueError("permutations must be >= 0")
-        if self.overflow not in OVERFLOW_POLICIES:
-            raise ValueError(
-                f"overflow must be one of {OVERFLOW_POLICIES}, got {self.overflow!r}"
-            )
+from .common import SCHEMA_VERSION, MarginError
+from .config import OVERFLOW_POLICIES, KnoxConfig  # noqa: F401  (re-exported)
 
 
 @dataclass

@@ -3,23 +3,23 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import nearchain
+from nearchain import cohesive, common, config, events
 from nearchain import knox as knoxmod
 from nearchain.cli import main
 from nearchain.config import load_config
 
-SCHEMA_PATH = (
-    Path(__file__).resolve().parent.parent
-    / "src"
-    / "nearchain"
-    / "schemas"
-    / "report.schema.json"
-)
+SRC = Path(__file__).resolve().parent.parent / "src"
+SCHEMA_PATH = SRC / "nearchain" / "schemas" / "report.schema.json"
 
 
 def run(args, expect=0):
@@ -133,6 +133,43 @@ def test_rerun_is_byte_identical(tmp_path):
         assert (one / name).read_bytes() == (two / name).read_bytes(), name
 
 
+# ------------------------------------------------------------------ imports
+
+COMPUTE_MODULES = ("events", "spatial", "graph", "cohesive", "knox", "projection", "synth")
+
+
+def test_import_loads_no_compute_module():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    probe = (
+        "import sys, nearchain, nearchain.cli; "
+        "print(' '.join(m for m in sys.modules if m == 'numpy' or m.startswith('nearchain.')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert "numpy" not in out
+    assert not {f"nearchain.{m}" for m in COMPUTE_MODULES} & set(out), out
+
+
+def test_package_names_resolve_on_first_use():
+    for name in nearchain.__all__:
+        assert getattr(nearchain, name) is not None, name
+    assert nearchain.build_graph.__module__ == "nearchain.graph"
+    with pytest.raises(AttributeError, match="no_such_name"):
+        nearchain.no_such_name  # noqa: B018
+
+
+def test_moved_names_keep_their_identity():
+    assert events.IngestConfig is config.IngestConfig
+    assert events.RangeWindow is config.RangeWindow
+    assert knoxmod.KnoxConfig is config.KnoxConfig
+    assert knoxmod.OVERFLOW_POLICIES is config.OVERFLOW_POLICIES
+    assert knoxmod.MarginError is common.MarginError
+    assert cohesive.DEFAULT_K_MIN is config.DEFAULT_K_MIN
+    assert cohesive.DEFAULT_MAX_CLIQUES is config.DEFAULT_MAX_CLIQUES
+
+
 # --------------------------------------------------------------- exit codes
 
 
@@ -186,6 +223,38 @@ def test_bad_radius_is_fatal(tmp_path, capsys):
     run(["ingest", "--output", tmp_path, "--input", raw])
     assert main(["pairs", "--output", str(tmp_path), "--r-x", "-5"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_stale_pairs_is_named_error(tmp_path, capsys):
+    raw = synth_csv(tmp_path, background=500, clusters=5)
+    run(["ingest", "--output", tmp_path, "--input", raw, "--t-max", "100"])
+    run(["pairs", "--output", tmp_path])
+    run(["ingest", "--output", tmp_path, "--input", raw])
+    partial = json.loads((tmp_path / "pairs_summary.json").read_text())["events"]
+    full = json.loads((tmp_path / "ingest_summary.json").read_text())["events"]
+    assert partial < full
+    capsys.readouterr()
+    for stage in ("stats", "decompose", "report"):
+        assert main([stage, "--output", str(tmp_path)]) == 1, stage
+        err = capsys.readouterr().err
+        assert "error: stale output of stage 'pairs'" in err, (stage, err)
+        assert f"{partial} events" in err and err.rstrip().endswith("(rerun pairs)"), err
+    assert not (tmp_path / "graph_stats.json").exists()
+    assert not (tmp_path / "report.json").exists()
+
+    # an explicit --events or --edges skips the check: the caller chose the files
+    run(["stats", "--output", tmp_path, "--edges", tmp_path / "edges.txt"])
+
+    run(["pairs", "--output", tmp_path])
+    run(["stats", "--output", tmp_path])
+    run(["report", "--output", tmp_path])
+    run(["pairs", "--output", tmp_path, "--r-x", "1000", "--r-y", "1000"])
+    stats = json.loads((tmp_path / "graph_stats.json").read_text())
+    pairs = json.loads((tmp_path / "pairs_summary.json").read_text())
+    assert stats["components"] != pairs["components"]
+    capsys.readouterr()
+    assert main(["report", "--output", str(tmp_path)]) == 1
+    assert "error: stale output of stage 'stats'" in capsys.readouterr().err
 
 
 # ----------------------------------------------------- config and overrides
@@ -280,6 +349,22 @@ def test_decompose_method_subset_and_bad_method(tmp_path, capsys):
     assert not (tmp_path / "decompose_dbscan.json").exists()
     assert main(["decompose", "--output", str(tmp_path), "--methods", "zap"]) == 1
     assert "zap" in capsys.readouterr().err
+
+
+def test_clique_truncation_is_reported(tmp_path, capsys):
+    raw = tmp_path / "raw.csv"
+    rows = [f"{x},{x},2019-01-01 00:00:00,{c}" for x in (10, 5000) for c in "abcd"]
+    raw.write_text("x,y,time,category\n" + "".join(row + "\n" for row in rows))
+    run(["ingest", "--output", tmp_path, "--input", raw])
+    run(["pairs", "--output", tmp_path])
+    run(["decompose", "--output", tmp_path, "--methods", "clique"])
+    full = json.loads((tmp_path / "decompose_clique.json").read_text())
+    assert full["truncated"] is False and full["levels"]["4"]["count"] == 2
+    capsys.readouterr()
+    run(["decompose", "--output", tmp_path, "--methods", "clique", "--max-cliques", "1"])
+    doc = json.loads((tmp_path / "decompose_clique.json").read_text())
+    assert doc["truncated"] is True
+    assert "warning: clique enumeration truncated at 1" in capsys.readouterr().err
 
 
 def test_report_without_decompose_omits_section(tmp_path):
