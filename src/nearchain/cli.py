@@ -381,6 +381,11 @@ def cmd_report(cfg: PipelineConfig, args) -> int:
     meta_path = outdir / "knox_meta.json"
     if meta_path.exists():
         meta = _read_json(meta_path)
+        if meta["events"] != events:
+            raise _stale(
+                "knox",
+                f"knox_meta.json has {meta['events']} events, ingest_summary.json has {events}",
+            )
         report["knox"] = {**meta, "highlights": _knox_highlights(outdir, meta)}
     _write_json(outdir / "report.json", report)
     _say("report: wrote report.json")

@@ -2,8 +2,11 @@
 
 Each detector reports, per k >= k_min, an inventory of subgraphs canonically
 ordered by smallest member id, each with its size, edge count, and mean local
-clustering coefficient.  A validator re-checks the defining property of every
-reported subgraph against the parent graph.
+clustering coefficient; a truss subgraph also carries the ids of its edges,
+since it is edge-defined.  Truss numbers come from a level-synchronous numpy
+peel over one triangle listing and its edge-to-triangle index.  A validator
+re-checks the defining property of every reported subgraph against the parent
+graph.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ class Subgraph:
     vertices: tuple[int, ...]  # sorted ascending
     n_edges: int
     coefficient: float
-    edge_list: tuple[tuple[int, int], ...] | None = None  # truss subgraphs only
+    edge_ids: tuple[int, ...] | None = None  # ascending ids into g.edges; truss only
 
 
 @dataclass
@@ -107,7 +110,7 @@ def k_core_decompose(
     vertices, so one sweep over those numbers yields every level.
     """
     core = core_numbers(g)
-    tris = graphmod.triangles(g)
+    tris = graphmod.triangles(g)[0]
     e = g.edges
     levels = graphmod.level_components(
         g,
@@ -127,53 +130,44 @@ def k_core_decompose(
 # -------------------------------------------------------------------- k-truss
 
 
-def truss_numbers(g: graphmod.EventGraph) -> np.ndarray:
-    """Per-edge truss numbers via bucket-sorted support peeling.
+def truss_numbers(g: graphmod.EventGraph, sides: np.ndarray | None = None) -> np.ndarray:
+    """Per-edge truss numbers by a level-synchronous peel.
 
     Edge e survives in the k-truss iff truss_number[e] >= k.  Edges with no
-    triangles get truss number 2.
+    triangles get truss number 2.  ``sides`` is the second array of
+    :func:`graph.triangles`, listed here when the caller has not.
+
+    Each round gives truss number k to every live edge of support <= k - 2,
+    kills the live triangles they close, found through an edge-to-triangle
+    index, and lowers their sides' supports; k rises to the smallest live
+    support + 2 when no edge qualifies (Wang & Cheng, PVLDB 2012).
     """
     m = g.m
-    if m == 0:
-        return np.zeros(0, dtype=np.int64)
-    sup = graphmod.compute_supports(g)
-    # live adjacency with edge ids, shrunk as edges are peeled
-    edges = g.edges.tolist()
-    adj: list[dict[int, int]] = [dict() for _ in range(g.n)]
-    for e, (u, v) in enumerate(edges):
-        adj[u][v] = adj[v][u] = e
-    # edges sorted by support, ties by id; bins[s] is where support s starts
-    eorder = np.argsort(sup, kind="stable")
-    pos = np.empty(m, dtype=np.int64)
-    pos[eorder] = np.arange(m)
-    bins = np.searchsorted(sup[eorder], np.arange(int(sup.max()) + 1))
+    if sides is None:
+        sides = graphmod.triangles(g)[1]
+    sup = np.bincount(sides.ravel(), minlength=m)
+    # triangles of edge e: tri_of[start[e] : start[e + 1]], in no set order
+    start = np.concatenate([[0], np.cumsum(sup)])
+    tri_of = np.argsort(sides.ravel())
+    tri_of //= 3
+    owner = np.full(len(sides), -1)  # set once the triangle is dead
+    dead = np.iinfo(np.int64).max  # the support of a peeled edge
     tn = np.zeros(m, dtype=np.int64)
-    k_cur = 2
-    for i in range(m):
-        e = int(eorder[i])
-        s = int(sup[e])
-        if bins[s] <= i:
-            bins[s] = i + 1
-        k_cur = max(k_cur, s + 2)
-        tn[e] = k_cur
-        u, v = edges[e]
-        del adj[u][v]
-        del adj[v][u]
-        au, av = adj[u], adj[v]
-        if len(au) > len(av):
-            au, av = av, au
-        for w in [w for w in au if w in av]:
-            for f in (adj[u][w], adj[v][w]):
-                sf = int(sup[f])
-                if sf > s:
-                    pf = int(pos[f])
-                    ps = int(bins[sf])
-                    e2 = int(eorder[ps])
-                    if e2 != f:
-                        eorder[ps], eorder[pf] = f, e2
-                        pos[f], pos[e2] = ps, pf
-                    bins[sf] = ps + 1
-                    sup[f] = sf - 1
+    k = 2
+    while (low := int(sup.min(initial=dead))) != dead:
+        k = max(k, low + 2)
+        frontier = np.flatnonzero(sup <= k - 2)
+        tn[frontier] = k
+        cnt = start[frontier + 1] - start[frontier]
+        at = np.arange(cnt.sum()) + np.repeat(start[frontier] - np.cumsum(cnt) + cnt, cnt)
+        hit = tri_of[at]
+        hit = hit[owner[hit] < 0]
+        # a triangle with two or three frontier sides is listed once per side:
+        # the one occurrence whose position lands in owner kills it
+        owner[hit] = np.arange(len(hit))
+        hit = hit[owner[hit] == np.arange(len(hit))]
+        sup -= np.bincount(sides[hit].ravel(), minlength=m)
+        sup[frontier] = dead
     return tn
 
 
@@ -187,10 +181,11 @@ def k_truss_decompose(
     joins at the largest truss number of its edges and a triangle at the
     smallest of its three, so one sweep over those numbers yields every level.
     """
-    tn = truss_numbers(g)
-    tris = graphmod.triangles(g)
+    tris, sides = graphmod.triangles(g)
+    tn = truss_numbers(g, sides)
     e = g.edges
-    tri_level = tn[graphmod.triangle_edges(g, tris)].min(axis=1)
+    tri_level = tn[sides].min(axis=1)
+    del sides  # the level sweep needs only the rows; this lowers its peak memory
     vertex_level = np.full(g.n, np.iinfo(np.int64).min)
     np.maximum.at(vertex_level, e[:, 0], tn)
     np.maximum.at(vertex_level, e[:, 1], tn)
@@ -201,7 +196,7 @@ def k_truss_decompose(
                 c.vertices,
                 len(c.edge_ids),
                 c.coefficient,
-                tuple(map(tuple, e[c.edge_ids].tolist())),
+                tuple(c.edge_ids.tolist()),
             )
             for c in comps
         ]
@@ -338,7 +333,8 @@ def validate(result: DecompositionResult, g: graphmod.EventGraph) -> ValidationR
     """Re-check the defining property of every reported subgraph.
 
     Core: minimum induced degree >= k.  Truss: minimum support >= k-2 within
-    the subgraph's own edge set.  Clique: pairwise adjacency plus maximality.
+    the subgraph's own edges, read through its ``edge_ids``; a truss subgraph
+    without them is a failure.  Clique: pairwise adjacency plus maximality.
     DBSCAN: the clustering rules, level by level (see :func:`_dbscan_failures`).
     """
     adj = g.adjacency_sets()
@@ -362,9 +358,10 @@ def validate(result: DecompositionResult, g: graphmod.EventGraph) -> ValidationR
                     if (d := len(adj[v] & vs)) < k:
                         fail(f"induced degree {d} < {k}", vertex=int(v))
             elif result.method == "truss":
-                edges = sg.edge_list
-                if edges is None:  # fall back to the induced edge set
-                    edges = [(u, v) for u, v in g.edges.tolist() if u in vs and v in vs]
+                if sg.edge_ids is None:
+                    fail("truss subgraph without edge ids")
+                    continue
+                edges = g.edges[np.asarray(sg.edge_ids, dtype=np.int64)].tolist()
                 nbr: dict[int, set[int]] = {}
                 for u, v in edges:
                     nbr.setdefault(u, set()).add(v)

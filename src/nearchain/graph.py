@@ -1,12 +1,13 @@
 """Undirected simple event graph in CSR form plus structural statistics.
 
-Each undirected edge carries a single id shared by both CSR directions, so
-peeling algorithms update one support slot per edge.  One component engine,
-:func:`component_labels` (hooking plus pointer jumping over an edge array),
-labels the pair graph, every level of a nested k-core / k-truss / k-DBSCAN
-family (:func:`level_components`) and the whole graph for the per-component
-statistics (:func:`component_table`, :func:`graph_stats`): sizes, edge counts,
-mean local clustering coefficients and exact diameters.
+An edge's id is its row in the sorted ``edges`` array.  :func:`triangles`
+lists every triangle once together with the ids of its three sides, so
+supports and the truss peel index edges without searching for them again.
+One component engine, :func:`component_labels` (hooking plus pointer jumping
+over an edge array), labels the pair graph, every level of a nested k-core /
+k-truss / k-DBSCAN family (:func:`level_components`) and the whole graph for
+the per-component statistics (:func:`component_table`, :func:`graph_stats`):
+sizes, edge counts, mean local clustering coefficients and exact diameters.
 """
 
 from __future__ import annotations
@@ -19,15 +20,14 @@ from .common import SCHEMA_VERSION
 
 
 class EventGraph:
-    """CSR adjacency: row offsets (n+1), sorted column indices (2m), edge ids."""
+    """CSR adjacency: row offsets (n+1) and sorted column indices (2m)."""
 
-    def __init__(self, n, edges, row_offsets, col_indices, edge_ids):
+    def __init__(self, n, edges, row_offsets, col_indices):
         self.n = int(n)
         self.edges = edges  # (m, 2) int64, u < v per row, lexicographically sorted
         self.m = int(len(edges))
         self.row_offsets = row_offsets
         self.col_indices = col_indices
-        self.edge_ids = edge_ids
         self._adj_sets: list[set[int]] | None = None
 
     @property
@@ -82,14 +82,12 @@ def build_graph(n: int, pairs) -> EventGraph:
         edges = np.unique(np.stack([u, v], axis=1), axis=0)
     else:
         edges = np.zeros((0, 2), dtype=np.int64)
-    m = len(edges)
     src = np.concatenate([edges[:, 0], edges[:, 1]])
     dst = np.concatenate([edges[:, 1], edges[:, 0]])
-    eids = np.concatenate([np.arange(m, dtype=np.int64)] * 2)
     order = np.lexsort((dst, src))
     row_offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=row_offsets[1:])
-    return EventGraph(n, edges, row_offsets, dst[order], eids[order])
+    return EventGraph(n, edges, row_offsets, dst[order])
 
 
 def component_labels(n: int, edges) -> tuple[np.ndarray, int]:
@@ -119,35 +117,36 @@ def component_labels(n: int, edges) -> tuple[np.ndarray, int]:
     return labels.astype(np.int64), len(roots)
 
 
-def triangles(g: EventGraph) -> np.ndarray:
-    """Every triangle once, as rows (u, v, w) with u < v < w, rows sorted.
+def triangles(g: EventGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Every triangle once, and the edge ids of its three sides.
 
-    The rows of ``g.edges`` starting at u list u's higher neighbors in
-    ascending order; each pair (v, w) of them is a wedge, and a triangle
-    when (v, w) is an edge.
+    Triangles are rows (u, v, w) with u < v < w, rows sorted; the matching
+    row of side ids names the edges (u, v), (u, w) and (v, w).  The rows of
+    ``g.edges`` starting at u list u's higher neighbors in ascending order;
+    each pair (v, w) of them is a wedge, made of two of those rows, and a
+    triangle when (v, w) is an edge, found by ``searchsorted``.
     """
     n, m, e = g.n, g.m, g.edges
     row_end = np.cumsum(np.bincount(e[:, 0], minlength=n))[e[:, 0]]
     later = row_end - np.arange(m) - 1  # higher neighbors after this one
     keys = e[:, 0] * n + e[:, 1]
-    out = [np.zeros((0, 3), dtype=np.int64)]
+    sides = [np.zeros((0, 3), dtype=np.int64)]
     # wedges in slices of whole edges, to bound the temporary arrays
     bounds = np.searchsorted(np.cumsum(later), np.arange(0, later.sum(), 1 << 16))
     for lo, hi in zip(bounds, [*bounds[1:], m]):
         cnt = later[lo:hi]
-        first = np.repeat(np.arange(lo, hi), cnt)
-        step = np.arange(len(first)) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-        v, w = e[first, 1], e[first + 1 + step, 1]
-        at = np.minimum(np.searchsorted(keys, v * n + w), m - 1)
-        hit = keys[at] == v * n + w
-        out.append(np.stack([e[first[hit], 0], v[hit], w[hit]], axis=1))
-    return np.concatenate(out)
-
-
-def triangle_edges(g: EventGraph, tris) -> np.ndarray:
-    """Edge ids of the sides (u, v), (u, w), (v, w) of each triangle row."""
-    keys = g.edges[:, 0] * g.n + g.edges[:, 1]
-    return np.searchsorted(keys, tris[:, [0, 0, 1]] * g.n + tris[:, [1, 2, 2]])
+        uv = np.repeat(np.arange(lo, hi), cnt)
+        uw = uv + 1 + np.arange(len(uv)) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+        v, w = e[uv, 1], e[uw, 1]
+        vw = np.minimum(np.searchsorted(keys, v * n + w), m - 1)
+        hit = keys[vw] == v * n + w
+        sides.append(np.stack([uv[hit], uw[hit], vw[hit]], axis=1))
+    sides = np.concatenate(sides)
+    tris = np.empty_like(sides)  # filled in slices, again to bound temporaries
+    for lo in range(0, len(sides), 1 << 16):
+        part = sides[lo : lo + (1 << 16)]
+        tris[lo : lo + len(part)] = np.column_stack([e[part[:, 0]], e[part[:, 1], 1]])
+    return tris, sides
 
 
 def _local_terms(deg: np.ndarray, tri: np.ndarray) -> np.ndarray:
@@ -202,14 +201,14 @@ def level_components(
 
 def component_table(g: EventGraph) -> list[Component]:
     """Connected components of the whole graph, ordered by smallest member."""
-    tris = triangles(g)
+    tris = triangles(g)[0]
     flat = [np.zeros(size, dtype=np.int64) for size in (g.n, g.m, len(tris))]
     return level_components(g, tris, *flat, 0).get(0, [])
 
 
 def compute_supports(g: EventGraph) -> np.ndarray:
     """Per-edge triangle count."""
-    return np.bincount(triangle_edges(g, triangles(g)).ravel(), minlength=g.m)
+    return np.bincount(triangles(g)[1].ravel(), minlength=g.m)
 
 
 def clustering_coefficient(g: EventGraph) -> float:
@@ -219,7 +218,7 @@ def clustering_coefficient(g: EventGraph) -> float:
     """
     if g.n == 0:
         raise ValueError("clustering coefficient of an empty graph")
-    tri = np.bincount(triangles(g).ravel(), minlength=g.n)
+    tri = np.bincount(triangles(g)[0].ravel(), minlength=g.n)
     total = 0.0
     for term in _local_terms(g.degrees, tri).tolist():
         total += term

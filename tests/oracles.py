@@ -276,9 +276,11 @@ def rebuild_levels(n: int, edges, method: str, k_min: int = 3) -> dict[int, list
     Each level's subgraph comes from the oracles above (peeled core numbers,
     recounted truss numbers, straight-line DBSCAN clusters); its components
     are found by breadth-first search, each reported as (vertices, edge
-    count, mean coefficient, edge tuple for truss else None).
+    count, mean coefficient, edge ids for truss else None).  An edge's id is
+    its position in the sorted, deduplicated edge list, as in ``g.edges``.
     """
-    edges = sorted((min(u, v), max(u, v)) for u, v in edges)
+    edges = sorted({(min(u, v), max(u, v)) for u, v in edges})
+    eid = {e: i for i, e in enumerate(edges)}
     levels: dict[int, list[tuple[int, int]]] = {}
     if method == "core":
         core = peel_core_numbers(n, edges)
@@ -326,7 +328,7 @@ def rebuild_levels(n: int, edges, method: str, k_min: int = 3) -> dict[int, list
                     tuple(sorted(comp)),
                     len(comp_edges),
                     matrix_coefficient(n, kept, comp),
-                    comp_edges if method == "truss" else None,
+                    tuple(eid[e] for e in comp_edges) if method == "truss" else None,
                 )
             )
         out[k] = comps

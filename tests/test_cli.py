@@ -257,6 +257,29 @@ def test_stale_pairs_is_named_error(tmp_path, capsys):
     assert "error: stale output of stage 'stats'" in capsys.readouterr().err
 
 
+def test_stale_knox_is_named_error(tmp_path, capsys):
+    raw = synth_csv(tmp_path, background=500, clusters=5)
+    run(["ingest", "--output", tmp_path, "--input", raw])
+    run(["pairs", "--output", tmp_path])
+    run(["knox", "--output", tmp_path, "--permutations", "0"])
+    run(["report", "--output", tmp_path])
+    consistent = (tmp_path / "report.json").read_bytes()
+    (tmp_path / "report.json").unlink()
+    run(["ingest", "--output", tmp_path, "--input", raw, "--t-max", "100"])
+    run(["pairs", "--output", tmp_path])
+    capsys.readouterr()
+    assert main(["report", "--output", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "error: stale output of stage 'knox'" in err, err
+    assert err.rstrip().endswith("(rerun knox)"), err
+    assert not (tmp_path / "report.json").exists()
+    # rerunning the stale stages restores the consistent run's bytes
+    run(["ingest", "--output", tmp_path, "--input", raw])
+    run(["pairs", "--output", tmp_path])
+    run(["report", "--output", tmp_path])
+    assert (tmp_path / "report.json").read_bytes() == consistent
+
+
 # ----------------------------------------------------- config and overrides
 
 

@@ -128,7 +128,24 @@ def test_truss_subgraph_is_edge_defined():
     assert [sg.vertices for sg in subs] == [(0, 1, 2, 3), (4, 5, 6, 7)]
     assert all(sg.n_edges == 6 for sg in subs)
     for sg in subs:
-        assert (3, 4) not in sg.edge_list
+        assert (3, 4) not in [tuple(e) for e in g.edges[list(sg.edge_ids)].tolist()]
+
+
+def test_truss_validates_against_its_own_edges():
+    # K4s on {0,1,2,3} and {3,4,5,6} plus the chord (0, 6): the chord closes
+    # one triangle, so the 4-truss spans {0..6} through vertex 3 without it,
+    # and the induced edge set would wrongly include it
+    edges = [(u, v) for u in range(4) for v in range(u + 1, 4)]
+    edges += [(u, v) for u in range(3, 7) for v in range(u + 1, 7)]
+    edges += [(0, 6)]
+    g = build(7, edges)
+    result = cohesive.k_truss_decompose(g)
+    (sg4,) = result.per_k[4]
+    assert sg4.vertices == tuple(range(7)) and sg4.n_edges == 12
+    assert cohesive.validate(result, g).ok
+    result.per_k[4] = [cohesive.Subgraph(sg4.vertices, sg4.n_edges, sg4.coefficient)]
+    report = cohesive.validate(result, g)
+    assert [f["reason"] for f in report.failures] == ["truss subgraph without edge ids"]
 
 
 # ----------------------------------------------------------------- k-dbscan
@@ -281,7 +298,7 @@ def test_validate_flags_unsupported_truss_edge():
         tuple(sorted(set(sg.vertices) | {4})),
         sg.n_edges + 1,
         sg.coefficient,
-        sg.edge_list + ((3, 4),),
+        tuple(sorted(sg.edge_ids + (edge_index(g)[(3, 4)],))),
     )
     report = cohesive.validate(result, g)
     assert not report.ok

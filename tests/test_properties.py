@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nearchain import cohesive, graph as graphmod
+from oracles import edge_index, recount_truss_numbers
 
 PROPERTY = settings(max_examples=150, deadline=None)
 
@@ -49,15 +50,17 @@ def shape(sg_or_nx) -> tuple:
     return sg_or_nx.vertices, sg_or_nx.n_edges
 
 
-def assert_levels_match(result, want, edge_lists: bool = False):
+def assert_levels_match(result, want, g=None):
+    """Levels equal ``want``; with ``g``, so do the edge sets, read through ``g.edges``."""
     assert sorted(result.per_k) == sorted(want)
     for k, comps in want.items():
         got = result.per_k[k]
         assert [shape(sg) for sg in got] == [shape(c) for c in comps], k
         for sg, c in zip(got, comps):
             assert sg.coefficient == pytest.approx(nx.average_clustering(c), abs=1e-12)
-            if edge_lists:
-                assert sg.edge_list == tuple(sorted((min(e), max(e)) for e in c.edges))
+            if g is not None:
+                edges = tuple(map(tuple, g.edges[list(sg.edge_ids)].tolist()))
+                assert edges == tuple(sorted((min(e), max(e)) for e in c.edges))
 
 
 @PROPERTY
@@ -74,8 +77,9 @@ def test_core_levels_match_networkx(graph, k_min):
 def test_truss_levels_match_networkx(graph, k_min):
     n, edges = graph
     ref = nx_graph(n, edges)
-    result = cohesive.k_truss_decompose(graphmod.build_graph(n, edges), k_min)
-    assert_levels_match(result, nx_levels(lambda k: nx.k_truss(ref, k), k_min), True)
+    g = graphmod.build_graph(n, edges)
+    result = cohesive.k_truss_decompose(g, k_min)
+    assert_levels_match(result, nx_levels(lambda k: nx.k_truss(ref, k), k_min), g)
 
 
 @PROPERTY
@@ -121,12 +125,85 @@ def test_component_labels_match_networkx(graph):
 @given(graphs())
 def test_triangles_match_networkx(graph):
     n, edges = graph
-    tris = graphmod.triangles(graphmod.build_graph(n, edges))
+    tris, _ = graphmod.triangles(graphmod.build_graph(n, edges))
     want = sorted(
         tuple(sorted(c)) for c in nx.enumerate_all_cliques(nx_graph(n, edges)) if len(c) == 3
     )
     assert tris.shape == (len(want), 3)
     assert [tuple(t) for t in tris.tolist()] == want
+
+
+@PROPERTY
+@given(graphs())
+def test_triangle_sides_match_edge_index(graph):
+    n, edges = graph
+    g = graphmod.build_graph(n, edges)
+    tris, sides = graphmod.triangles(g)
+    eidx = edge_index(g)
+    assert sides.shape == tris.shape
+    for (u, v, w), ids in zip(tris.tolist(), sides.tolist()):
+        assert ids == [eidx[(u, v)], eidx[(u, w)], eidx[(v, w)]]
+
+
+def strip(rows: int, length: int, wrap: bool) -> tuple[int, list]:
+    """A triangulated grid, rolled into a cylinder when ``wrap``.
+
+    Border edges close fewer triangles, so the truss peel eats in from the
+    borders over many rounds: a cylinder takes about ``length`` rounds.
+    """
+
+    def at(r: int, j: int) -> int:
+        return (r % rows) * length + j
+
+    edges = [(at(r, j), at(r, j + 1)) for r in range(rows) for j in range(length - 1)]
+    for r in range(rows if wrap else rows - 1):
+        edges += [(at(r, j), at(r + 1, j)) for j in range(length)]
+        edges += [(at(r, j), at(r + 1, j + 1)) for j in range(length - 1)]
+    return rows * length, edges
+
+
+@st.composite
+def peel_graphs(draw):
+    """Cliques of 3-7 vertices (k jumps) and triangle strips (many peel
+    rounds), joined in a row by bridges, with a few chords and relabelled."""
+    n, edges = 0, []
+    for _ in range(draw(st.integers(1, 5))):
+        if draw(st.booleans()):
+            size = draw(st.integers(3, 7))
+            piece = (size, [(u, v) for u in range(size) for v in range(u + 1, size)])
+        else:
+            wrap = draw(st.booleans())
+            piece = strip(draw(st.integers(4 if wrap else 2, 5)), draw(st.integers(2, 25)), wrap)
+        if n:
+            edges.append((draw(st.integers(0, n - 1)), n + draw(st.integers(0, piece[0] - 1))))
+        edges += [(n + u, n + v) for u, v in piece[1]]
+        n += piece[0]
+    vertex = st.integers(0, n - 1)
+    edges += draw(st.lists(st.tuples(vertex, vertex), max_size=4))
+    perm = draw(st.permutations(range(n)))
+    return n, sorted({(min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in edges if u != v})
+
+
+@PROPERTY
+@given(peel_graphs())
+def test_truss_numbers_match_recount_on_cliques_and_strips(graph):
+    n, edges = graph
+    g = graphmod.build_graph(n, edges)
+    tn = cohesive.truss_numbers(g)
+    eidx = edge_index(g)
+    assert {e: int(tn[eidx[e]]) for e in edges} == recount_truss_numbers(edges)
+
+
+@PROPERTY
+@given(graphs(), st.integers(1, 5))
+def test_cliques_match_networkx(graph, k_min):
+    n, edges = graph
+    found = cohesive.enumerate_cliques(graphmod.build_graph(n, edges), k_min)
+    want = sorted(
+        tuple(sorted(c)) for c in nx.find_cliques(nx_graph(n, edges)) if len(c) >= k_min
+    )
+    assert not found.truncated
+    assert found.cliques == want
 
 
 @pytest.mark.parametrize(
