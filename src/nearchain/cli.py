@@ -509,8 +509,8 @@ def main(argv=None) -> int:
         if args.workers is not None:
             cfg.workers = args.workers
         return COMMANDS[args.command](cfg, args)
-    except (ValueError, OSError, MarginError) as exc:
-        _say(f"error: {exc}")
+    except (ValueError, OSError, MarginError, MemoryError) as exc:
+        _say(f"error: {str(exc) or type(exc).__name__}")
         return 1
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import projection
 from .common import SCHEMA_VERSION
-from .config import IngestConfig, RangeWindow
+from .config import IngestConfig, RangeWindow  # noqa: F401  (re-exported)
 
 REASON_MISSING = "missing-field"
 REASON_NUMBER = "bad-number"
@@ -127,11 +127,6 @@ def parse_csv(path, config: IngestConfig) -> tuple[list[RawRecord], list[tuple[i
             else:
                 records.append(RawRecord(line_no, ts, category, easting=c0, northing=c1))
     return records, rejects
-
-
-def filter_range(events: list[Event], window: RangeWindow) -> list[Event]:
-    """Retain exactly the events inside the closed window on all axes."""
-    return [e for e in events if window.contains(e.x, e.y, e.t)]
 
 
 def deduplicate(events: list[Event]) -> list[Event]:

@@ -34,12 +34,6 @@ class EventGraph:
     def degrees(self) -> np.ndarray:
         return np.diff(self.row_offsets)
 
-    def degree(self, v: int) -> int:
-        return int(self.row_offsets[v + 1] - self.row_offsets[v])
-
-    def neighbors(self, v: int) -> np.ndarray:
-        return self.col_indices[self.row_offsets[v] : self.row_offsets[v + 1]]
-
     def adjacency_sets(self) -> list[set[int]]:
         """Per-vertex neighbor sets (cached)."""
         if self._adj_sets is None:

@@ -2,12 +2,14 @@
 
 The tree is bulk-loaded once with sort-tile-recursive packing, which is
 deterministic for a fixed input and keeps every node within the fill bounds,
-and is only read after that.  Events reach it as an ``(ids, coords)`` pair
-of arrays: ids of shape (n,) and coords of shape (n, 3) holding (x, y, t).
-Near-repeat pairs come from joining the tree with itself level by level
-(:func:`neighbor_pairs`); the pair (u, v), u < v by id, is in when coords[v]
-lies in the closed float64 box coords[u] -/+ (r_x, r_y, r_t), the box that
-``query_ids`` around u would search.
+and is only read after that.  It is held as flat numpy arrays, one set per
+level (see :class:`RTree3`), the form both the range query and the join
+read.  Events reach it as an ``(ids, coords)`` pair of arrays: ids of shape
+(n,) and coords of shape (n, 3) holding (x, y, t).  Near-repeat pairs come
+from joining the tree with itself level by level (:func:`neighbor_pairs`);
+the pair (u, v), u < v by id, is in when coords[v] lies in the closed
+float64 box coords[u] -/+ (r_x, r_y, r_t), the box that ``query_ids``
+around u would search.
 """
 
 from __future__ import annotations
@@ -22,124 +24,68 @@ _BATCH = 512  # node pairs per join step, which bounds its scratch arrays
 _UPPER = np.triu(np.ones((FANOUT, FANOUT), dtype=bool), 1)
 
 
-class _Node:
-    """Tree node; leaves store point rows, internals store child boxes."""
-
-    __slots__ = ("leaf", "lo", "hi", "children", "ids")
-
-    def __init__(self, leaf, lo, hi, children=None, ids=None):
-        self.leaf = leaf
-        self.lo = lo  # (c, 3) child lows; for a leaf these are the points
-        self.hi = hi  # (c, 3) child highs; equal to lo for a leaf
-        self.children = children
-        self.ids = ids
-
-    def bbox(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.lo.min(axis=0), self.hi.max(axis=0)
+def _chunk_count(n: int, power: float) -> int:
+    """STR's chunk count for n points, about (their leaf count) ** power,
+    bounded so no near-equal chunk drops below MIN_FILL."""
+    return max(1, min(round((-(-n // FANOUT)) ** power + 0.5), n // MIN_FILL or 1))
 
 
-def _split_even(n: int, parts: int) -> list[int]:
-    """Near-equal partition of n items into the given number of parts."""
-    parts = max(1, min(parts, n))
-    base, extra = divmod(n, parts)
-    return [base + 1] * extra + [base] * (parts - extra)
+def _split(sizes, parts) -> np.ndarray:
+    """Chunk sizes when each consecutive group of ``sizes`` items is cut into
+    its ``parts`` near-equal chunks (1 <= parts <= size), longer chunks first."""
+    sizes, parts = np.atleast_1d(sizes, parts)
+    base, extra = np.divmod(sizes, parts)
+    rank = np.arange(parts.sum()) - np.repeat(np.cumsum(parts) - parts, parts)
+    return np.repeat(base, parts) + (rank < np.repeat(extra, parts))
 
 
-def _chunk_count(n: int, target: int, min_fill: int) -> int:
-    """Number of chunks, bounded so no near-equal chunk drops below min_fill."""
-    return max(1, min(target, n // min_fill or 1))
+def _tile(pts, ids, sizes, axes):
+    """Sort each consecutive group of ``sizes`` points by the given axes in turn, then id."""
+    group = np.repeat(np.arange(len(sizes)), sizes)
+    order = np.lexsort((ids, *(pts[:, k] for k in reversed(axes)), group))
+    return pts[order], ids[order]
+
+
+def _pad(sizes, values, fill) -> np.ndarray:
+    """Consecutive groups of ``sizes`` values laid out one group per row of FANOUT slots."""
+    group = np.repeat(np.arange(len(sizes)), sizes)
+    slot = np.arange(len(group)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    out = np.full((len(sizes), FANOUT) + values.shape[1:], fill, dtype=values.dtype)
+    out[group, slot] = values
+    return out
 
 
 class RTree3:
-    """Balanced 3-D R-tree with box range queries."""
+    """Balanced 3-D R-tree with box range queries, held as flat level arrays.
 
-    def __init__(self) -> None:
-        self.fanout = FANOUT
-        self.min_fill = MIN_FILL
-        self.root: _Node | None = None
-        self.height = 0  # levels above the leaves; a lone leaf root is height 0
-        self.size = 0
+    ``levels`` lists the internal levels top down, each as ``(kids, lo,
+    hi)``: kids of shape (N, FANOUT) holds the indices of each node's
+    children in the next level (-1 pads), and lo/hi of shape (3, N') hold
+    the boxes of the next level's nodes, one row per axis.  The leaves are
+    ``pts`` of shape (L, FANOUT, 3) (NaN pads) and ``ids`` of shape (L,
+    FANOUT) (-1 pads).  The root is node 0 of the first level, or leaf 0 when
+    there is no internal level.  A level lists its parents' children in
+    order, so a node pair (a, b) with a <= b only has child pairs (c, d)
+    with c <= d.
+    """
 
-    # ------------------------------------------------------------------ build
-
-    @staticmethod
-    def _leaf(pts: np.ndarray, ids: np.ndarray) -> _Node:
-        return _Node(True, pts, pts, ids=ids)
-
-    def _pack_leaves(self, pts: np.ndarray, ids: np.ndarray) -> list[_Node]:
-        """Sort-tile-recursive packing of points into leaves, in tile order."""
-        M, m = self.fanout, self.min_fill
-        order = np.lexsort((ids, pts[:, 2], pts[:, 1], pts[:, 0]))
-        pts, ids = pts[order], ids[order]
-        n = len(ids)
-        if n <= M:
-            return [self._leaf(pts, ids)]
-        n_leaves = -(-n // M)
-        nx = _chunk_count(n, round(n_leaves ** (1.0 / 3.0) + 0.5), m)
-        leaves: list[_Node] = []
-        start = 0
-        for xsize in _split_even(n, nx):
-            xp, xi = pts[start : start + xsize], ids[start : start + xsize]
-            start += xsize
-            yorder = np.lexsort((xi, xp[:, 0], xp[:, 2], xp[:, 1]))
-            xp, xi = xp[yorder], xi[yorder]
-            p_chunk = -(-len(xi) // M)
-            ny = _chunk_count(len(xi), round(p_chunk**0.5 + 0.5), m)
-            ystart = 0
-            for ysize in _split_even(len(xi), ny):
-                yp, yi = xp[ystart : ystart + ysize], xi[ystart : ystart + ysize]
-                ystart += ysize
-                torder = np.lexsort((yi, yp[:, 1], yp[:, 0], yp[:, 2]))
-                yp, yi = yp[torder], yi[torder]
-                tstart = 0
-                for tsize in _split_even(len(yi), -(-len(yi) // M)):
-                    leaves.append(
-                        self._leaf(yp[tstart : tstart + tsize], yi[tstart : tstart + tsize])
-                    )
-                    tstart += tsize
-        return leaves
-
-    def _pack_upward(self, nodes: list[_Node]) -> None:
-        """Group a level of nodes into parents until a single root remains."""
-        M = self.fanout
-        height = 0
-        while len(nodes) > 1:
-            height += 1
-            parents: list[_Node] = []
-            start = 0
-            for size in _split_even(len(nodes), -(-len(nodes) // M)):
-                group = nodes[start : start + size]
-                start += size
-                los = np.stack([g.bbox()[0] for g in group])
-                his = np.stack([g.bbox()[1] for g in group])
-                parents.append(_Node(False, los, his, children=group))
-            nodes = parents
-        self.root = nodes[0]
-        self.height = height
-
-    # ----------------------------------------------------------------- query
+    def __init__(self, levels, pts: np.ndarray, ids: np.ndarray) -> None:
+        self.levels = levels
+        self.pts = pts
+        self.ids = ids
+        self.height = len(levels)  # levels above the leaves; a lone leaf root is height 0
 
     def query_ids(self, lo, hi) -> np.ndarray:
         """Ids of all points p with lo <= p <= hi on every axis (closed)."""
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
-        if self.root is None:
-            return np.zeros(0, dtype=np.int64)
-        out: list[np.ndarray] = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.leaf:
-                mask = np.all((node.lo >= lo) & (node.lo <= hi), axis=1)
-                if mask.any():
-                    out.append(node.ids[mask])
-            else:
-                hit = np.all((node.lo <= hi) & (node.hi >= lo), axis=1)
-                for i in np.nonzero(hit)[0]:
-                    stack.append(node.children[i])
-        if not out:
-            return np.zeros(0, dtype=np.int64)
-        return np.sort(np.concatenate(out))
+        nodes = np.zeros(1, dtype=np.int64)
+        for kids, klo, khi in self.levels:
+            c = kids[nodes].ravel()
+            c = c[c >= 0]
+            nodes = c[np.all((klo[:, c] <= hi[:, None]) & (khi[:, c] >= lo[:, None]), axis=0)]
+        p = self.pts[nodes]
+        return np.sort(self.ids[nodes][np.all((p >= lo) & (p <= hi), axis=2)])
 
 
 def _arrays(points) -> tuple[np.ndarray, np.ndarray]:
@@ -156,45 +102,39 @@ def _arrays(points) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build(points) -> RTree3:
-    """Bulk-load an R-tree from an ``(ids, coords)`` pair of arrays."""
+    """Bulk-load an R-tree from an ``(ids, coords)`` pair of arrays.
+
+    Sort-tile-recursive packing (Leutenegger, Lopez & Edgington, ICDE 1997):
+    the points, sorted by (x, y, t, id), are cut into near-equal slabs; each
+    slab, sorted by (y, t, x, id), into strips; each strip, sorted by (t, x,
+    y, id), into leaves.  Each pass is one lexsort over all points, with the
+    slab or strip as its first key.  Parents group the level below in order
+    until one root remains, and their boxes come from ``reduceat``.
+    """
     ids, coords = _arrays(points)
-    if len(ids) == 0:
+    n = len(ids)
+    if n == 0:
         raise ValueError("cannot build an R-tree from zero points")
     if not np.isfinite(coords).all():
         raise ValueError("R-tree points must have finite coordinates")
-    tree = RTree3()
-    tree._pack_upward(tree._pack_leaves(coords, ids))
-    tree.size = len(ids)
-    return tree
-
-
-def _levels(root: _Node):
-    """The tree flattened level by level, top down, for the self-join.
-
-    Each internal level is ``(kids, lo, hi)``: kids of shape (N, FANOUT)
-    holds the indices of each node's children in the next level (-1 pads),
-    and lo/hi of shape (3, N') hold the boxes of the next level's nodes, one
-    row per axis.  The leaves follow as ``(L, FANOUT, 3)`` points (NaN pads)
-    and ``(L, FANOUT)`` ids (-1 pads).  A level lists its parents' children
-    in order, so a node pair (a, b) with a <= b only has child pairs (c, d)
-    with c <= d.
-    """
-    internal = []
-    level = [root]
-    while not level[0].leaf:
-        counts = np.array([len(node.children) for node in level])
-        slot = np.arange(FANOUT)
-        kids = np.where(slot < counts[:, None], (np.cumsum(counts) - counts)[:, None] + slot, -1)
-        lo = np.concatenate([node.lo for node in level]).T
-        hi = np.concatenate([node.hi for node in level]).T
-        internal.append((kids, lo, hi))
-        level = [child for node in level for child in node.children]
-    pts = np.full((len(level), FANOUT, 3), np.nan)
-    ids = np.full((len(level), FANOUT), -1, dtype=np.int64)
-    for i, leaf in enumerate(level):
-        pts[i, : len(leaf.ids)] = leaf.lo
-        ids[i, : len(leaf.ids)] = leaf.ids
-    return internal, pts, ids
+    pts, ids = _tile(coords, ids, [n], (0, 1, 2))
+    if n <= FANOUT:
+        leaves = np.array([n])
+    else:
+        slabs = _split(n, _chunk_count(n, 1.0 / 3.0))
+        pts, ids = _tile(pts, ids, slabs, (1, 2, 0))
+        strips = _split(slabs, [_chunk_count(s, 0.5) for s in slabs.tolist()])
+        pts, ids = _tile(pts, ids, strips, (2, 0, 1))
+        leaves = _split(strips, -(-strips // FANOUT))
+    start = np.cumsum(leaves) - leaves
+    lo, hi = np.minimum.reduceat(pts, start), np.maximum.reduceat(pts, start)
+    levels = []
+    while len(lo) > 1:
+        groups = _split(len(lo), -(-len(lo) // FANOUT))
+        levels.append((_pad(groups, np.arange(len(lo)), -1), lo.T, hi.T))
+        start = np.cumsum(groups) - groups
+        lo, hi = np.minimum.reduceat(lo, start), np.maximum.reduceat(hi, start)
+    return RTree3(levels[::-1], _pad(leaves, pts, np.nan), _pad(leaves, ids, -1))
 
 
 def _batches(a: np.ndarray, b: np.ndarray):
@@ -258,16 +198,13 @@ def neighbor_pairs(tree: RTree3, r_x: float, r_y: float, r_t: float) -> np.ndarr
     """
     if not (r_x > 0 and r_y > 0 and r_t > 0):
         raise ValueError("query limits r_x, r_y, r_t must all be positive")
-    if tree.root is None:
-        return np.zeros((0, 2), dtype=np.int64)
     off = np.array([r_x, r_y, r_t], dtype=float)
-    internal, pts, ids = _levels(tree.root)
     a = b = np.zeros(1, dtype=np.int64)
-    for kids, lo, hi in internal:
+    for kids, lo, hi in tree.levels:
         found = [_expand(kids, lo, hi, off, x, y) for x, y in _batches(a, b)]
         a = np.concatenate([c for c, _ in found])
         b = np.concatenate([d for _, d in found])
-    found = [_leaf_pairs(pts, ids, off, x, y) for x, y in _batches(a, b)]
+    found = [_leaf_pairs(tree.pts, tree.ids, off, x, y) for x, y in _batches(a, b)]
     pairs = np.stack(
         [np.concatenate([u for u, _ in found]), np.concatenate([v for _, v in found])], axis=1
     )

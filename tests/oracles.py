@@ -370,40 +370,44 @@ def scan_box_query(coords: np.ndarray, ids: np.ndarray, lo, hi) -> np.ndarray:
 
 
 def check_rtree(tree, expect_ids) -> None:
-    """Walk an R-tree and assert every structural invariant.
+    """Check every structural invariant of a flat R-tree, bottom up.
 
-    Fill bounds on every non-root node, bounding-box containment of children,
-    uniform leaf depth, and exact reachability of the expected id set.
+    Fill bounds on every non-root node and at least 2 children under an
+    internal root; each stored child box holds the child's true box, which
+    is recomputed from the leaf points, not read from the stored boxes;
+    uniform leaf depth (each level's kids name every node of the next level
+    exactly once); ``height`` equal to the number of internal levels; and
+    every expected id exactly once, with NaN pads exactly where ids are -1.
     """
-    root = tree.root
-    assert root is not None, "tree has no root"
-    seen: list[int] = []
-    leaf_depths: set[int] = set()
+    from nearchain import spatial  # the fill bounds only
 
-    def walk(node, depth: int, is_root: bool) -> None:
-        lo, hi = node.bbox()
-        if node.leaf:
-            count = len(node.ids)
-            leaf_depths.add(depth)
-            seen.extend(int(i) for i in node.ids)
-            assert (node.lo >= lo - 0).all() and (node.hi <= hi + 0).all()
-        else:
-            count = len(node.children)
-            for child in node.children:
-                clo, chi = child.bbox()
-                assert (clo >= lo).all() and (chi <= hi).all(), "child box escapes parent"
-                walk(child, depth + 1, False)
-        if is_root:
-            assert node.leaf or count >= 2, "internal root must have >= 2 children"
-        else:
-            assert tree.min_fill <= count <= tree.fanout, (
-                f"node fill {count} outside [{tree.min_fill}, {tree.fanout}]"
-            )
+    fanout, min_fill = spatial.FANOUT, spatial.MIN_FILL
+    pts, ids = tree.pts, tree.ids
+    assert pts.shape == (len(ids), fanout, 3) and ids.shape == (len(ids), fanout)
+    pad = ids == -1
+    assert (np.isnan(pts).all(axis=2) == pad).all(), "NaN pads differ from -1 ids"
+    assert not np.isnan(pts[~pad]).any(), "NaN coordinate in a stored point"
+    real = ids[~pad]
+    assert sorted(real.tolist()) == sorted(int(i) for i in expect_ids), "points lost or duplicated"
+    assert tree.height == len(tree.levels), "height field does not match the internal levels"
 
-    walk(root, 0, True)
-    assert len(leaf_depths) == 1, "leaves at mixed depths"
-    assert leaf_depths == {tree.height}, "height field does not match leaf depth"
-    assert sorted(seen) == sorted(int(i) for i in expect_ids), "points lost or duplicated"
+    counts = [(~pad).sum(axis=1)]  # per level, bottom up: children (or points) per node
+    true_lo = np.array([p[i >= 0].min(axis=0) for p, i in zip(pts, ids)])
+    true_hi = np.array([p[i >= 0].max(axis=0) for p, i in zip(pts, ids)])
+    for kids, lo, hi in reversed(tree.levels):
+        below = len(true_lo)
+        assert kids.shape[1] == fanout and lo.shape == hi.shape == (3, below)
+        named = kids[kids >= 0]
+        assert sorted(named.tolist()) == list(range(below)), "leaves at mixed depths"
+        assert (lo.T <= true_lo).all() and (hi.T >= true_hi).all(), "child box escapes parent"
+        counts.append((kids >= 0).sum(axis=1))
+        true_lo = np.array([true_lo[row[row >= 0]].min(axis=0) for row in kids])
+        true_hi = np.array([true_hi[row[row >= 0]].max(axis=0) for row in kids])
+    assert len(counts[-1]) == 1, "more than one root"
+    if tree.height:
+        assert counts[-1][0] >= 2, "internal root must have >= 2 children"
+    for count in [c for level in counts[:-1] for c in level.tolist()]:
+        assert min_fill <= count <= fanout, f"node fill {count} outside [{min_fill}, {fanout}]"
 
 
 # --------------------------------------------------------------------- knox

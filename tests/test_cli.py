@@ -472,6 +472,23 @@ def test_knox_margin_failure_is_named_error(tmp_path, capsys, monkeypatch):
     assert "error: permutation round broke spatial margins" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("message", ["Unable to allocate 9.29 TiB for an array", ""])
+def test_knox_out_of_memory_is_named_error(tmp_path, capsys, monkeypatch, message):
+    # bins far finer than the data make a table that cannot be allocated
+    raw = synth_csv(tmp_path)
+    run(["ingest", "--output", tmp_path, "--input", raw])
+
+    def too_big(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(knoxmod, "_accumulate", too_big)
+    capsys.readouterr()
+    run(["knox", "--output", tmp_path, "--permutations", "3"], expect=1)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err, err
+    assert err.splitlines()[-1] == f"error: {message or 'MemoryError'}", err
+
+
 # --------------------------------------------------------- degenerate inputs
 
 RAW_HEADER = "x,y,time,category\n"

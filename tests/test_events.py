@@ -150,16 +150,17 @@ def test_filter_range_brute_force():
         ]
     )
     window = ev.RangeWindow(x=(2.0, 8.0), y=(1.0, 9.0), t=(0.0, 5.0))
-    kept = ev.filter_range(evs, window)
+    kept = [e for e in evs if window.contains(e.x, e.y, e.t)]
     expect = [
         e
         for e in evs
         if 2.0 <= e.x <= 8.0 and 1.0 <= e.y <= 9.0 and 0.0 <= e.t <= 5.0
     ]
     assert kept == expect
-    assert ev.filter_range(evs, ev.RangeWindow()) == evs
+    everything = ev.RangeWindow()
+    assert [e for e in evs if everything.contains(e.x, e.y, e.t)] == evs
     none = ev.RangeWindow(x=(100.0, 200.0))
-    assert ev.filter_range(evs, none) == []
+    assert [e for e in evs if none.contains(e.x, e.y, e.t)] == []
 
 
 def test_range_window_validates():

@@ -62,7 +62,7 @@ def test_build_identical_coordinate_points():
 
 def test_build_invariants_random():
     rng = np.random.default_rng(91)
-    for n in (2, 6, 16, 17, 100, 1000, 10_000):
+    for n in (2, 6, 16, 17, 96, 97, 100, 256, 257, 1000, 4096, 4097, 10_000):
         ids, coords = random_points(rng, n)
         tree = spatial.build((ids, coords))
         check_rtree(tree, ids)
@@ -73,13 +73,11 @@ def test_build_deterministic():
     ids, coords = random_points(rng, 500)
     t1 = spatial.build((ids, coords))
     t2 = spatial.build((ids, coords))
-
-    def shape(node):
-        if node.leaf:
-            return ("leaf", node.ids.tolist())
-        return ("node", [shape(c) for c in node.children])
-
-    assert shape(t1.root) == shape(t2.root)
+    assert t1.height == t2.height and len(t1.levels) == len(t2.levels)
+    for level1, level2 in zip(t1.levels, t2.levels):
+        assert all(np.array_equal(x, y) for x, y in zip(level1, level2))
+    assert np.array_equal(t1.ids, t2.ids)
+    assert np.array_equal(t1.pts, t2.pts, equal_nan=True)
 
 
 # ------------------------------------------------------------------ queries
@@ -259,6 +257,23 @@ def test_neighbor_pairs_match_box_query_scan(case):
     tree = spatial.build((ids, coords))
     got = spatial.neighbor_pairs(tree, *limits)
     assert np.array_equal(got, box_query_pairs(ids, coords, limits))
+
+
+@settings(max_examples=120, deadline=None)
+@given(lattice_events(), st.data())
+def test_query_ids_match_scan_oracle(case, data):
+    # box corners sit on lattice points -/+ whole limits, so many bounds are
+    # hit exactly; a corner above its opposite on some axis makes an empty box
+    ids, coords, limits = case
+    tree = spatial.build((ids, coords))
+    index = st.integers(0, len(ids) - 1)
+    steps = st.tuples(*[st.integers(-2, 2)] * 3).map(np.array)
+    for _ in range(4):
+        lo = coords[data.draw(index)] + data.draw(steps) * limits
+        hi = coords[data.draw(index)] + data.draw(steps) * limits
+        assert np.array_equal(tree.query_ids(lo, hi), scan_box_query(coords, ids, lo, hi))
+    beyond = coords.max(axis=0) + limits  # past every point: hits nothing
+    assert len(tree.query_ids(beyond, beyond + limits)) == 0
 
 
 # ------------------------------------------------------------------- binary
