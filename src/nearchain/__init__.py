@@ -20,9 +20,7 @@ _EXPORTS = {
     "graph": (
         "EventGraph",
         "build_graph",
-        "clustering_coefficient",
         "component_labels",
-        "compute_supports",
         "diameter",
         "graph_stats",
     ),
@@ -37,10 +35,9 @@ _EXPORTS = {
         "k_dbscan",
         "k_truss_decompose",
         "truss_numbers",
-        "validate",
     ),
     "knox": ("KnoxTable", "build_table", "expected_and_residuals", "monte_carlo"),
-    "projection": ("project_to_utm", "utm_to_latlon", "zone_for_lon"),
+    "projection": ("zone_for_lon",),
     "synth": ("SynthConfig", "generate"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -66,14 +66,9 @@ def _events_path(cfg: PipelineConfig, args) -> Path:
 
 def _load_events(cfg: PipelineConfig, args) -> tuple[np.ndarray, np.ndarray]:
     """The cleaned events as ``(ids, xyt)``: ids of shape (n,), xyt of shape (n, 3)."""
-    import numpy as np
-
     from . import events as eventsmod
 
-    events = eventsmod.read_events_csv(_events_path(cfg, args))
-    ids = np.array([e.id for e in events], dtype=np.int64)
-    xyt = np.array([(e.x, e.y, e.t) for e in events], dtype=np.float64).reshape(-1, 3)
-    return ids, xyt
+    return eventsmod.read_events_csv(_events_path(cfg, args))
 
 
 def _count_events(cfg: PipelineConfig, args) -> int:
@@ -308,8 +303,7 @@ def _knox_highlights(outdir: Path, meta: dict) -> dict:
     observed = knoxmod.load_grid(outdir / "observed.csv")
     expected = knoxmod.load_grid(outdir / "expected.csv")
     residuals = knoxmod.load_grid(outdir / "residuals.csv")
-    pvalues_path = outdir / "pvalues.csv"
-    pvalues = knoxmod.load_grid(pvalues_path) if pvalues_path.exists() else None
+    pvalues = knoxmod.load_grid(outdir / "pvalues.csv") if meta["permutations"] else None
     cell = {
         "observed": int(observed[0, 0]),
         "expected": float(expected[0, 0]),

@@ -4,14 +4,13 @@ Each detector reports, per k >= k_min, an inventory of subgraphs canonically
 ordered by smallest member id, each with its size, edge count, and mean local
 clustering coefficient; a truss subgraph also carries the ids of its edges,
 since it is edge-defined.  Truss numbers come from a level-synchronous numpy
-peel over one triangle listing and its edge-to-triangle index.  A validator
-re-checks the defining property of every reported subgraph against the parent
-graph.
+peel over one triangle listing and its edge-to-triangle index.  The checks of
+each subgraph's defining property live with the test suite's oracles.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,20 +40,11 @@ class DecompositionResult:
 
 @dataclass
 class CliqueSet:
-    """All maximal cliques of size >= k_min, with a size histogram."""
+    """All maximal cliques of size >= k_min."""
 
     cliques: list[tuple[int, ...]]  # each sorted; list lexicographically sorted
-    histogram: dict[int, int]
     truncated: bool
     k_min: int
-
-
-@dataclass
-class ValidationReport:
-    """Outcome of re-checking a decomposition's defining properties."""
-
-    ok: bool
-    failures: list[dict] = field(default_factory=list)
 
 
 # --------------------------------------------------------------------- k-core
@@ -248,7 +238,8 @@ def enumerate_cliques(
     The outer loop follows a degeneracy order; enumeration aborts with the
     ``truncated`` flag once ``max_count`` maximal cliques have been seen.
     """
-    adj = g.adjacency_sets()
+    ro, ci = g.row_offsets, g.col_indices
+    adj = [set(ci[ro[v] : ro[v + 1]].tolist()) for v in range(g.n)]
     _, order = core_numbers(g, return_order=True)
     rank = {v: i for i, v in enumerate(order)}
     found: list[tuple[int, ...]] = []
@@ -284,10 +275,7 @@ def enumerate_cliques(
     except _Truncated:
         truncated = True
     found.sort()
-    histogram: dict[int, int] = {}
-    for c in found:
-        histogram[len(c)] = histogram.get(len(c), 0) + 1
-    return CliqueSet(found, dict(sorted(histogram.items())), truncated, k_min)
+    return CliqueSet(found, truncated, k_min)
 
 
 def clique_decomposition(cliques: CliqueSet) -> DecompositionResult:
@@ -324,108 +312,3 @@ def decompose(
     if method not in runners:
         raise ValueError(f"unknown method {method!r}; expected one of {sorted(runners)}")
     return runners[method]()
-
-
-# ------------------------------------------------------------------ validator
-
-
-def validate(result: DecompositionResult, g: graphmod.EventGraph) -> ValidationReport:
-    """Re-check the defining property of every reported subgraph.
-
-    Core: minimum induced degree >= k.  Truss: minimum support >= k-2 within
-    the subgraph's own edges, read through its ``edge_ids``; a truss subgraph
-    without them is a failure.  Clique: pairwise adjacency plus maximality.
-    DBSCAN: the clustering rules, level by level (see :func:`_dbscan_failures`).
-    """
-    adj = g.adjacency_sets()
-    if result.method == "dbscan":
-        failures = _dbscan_failures(result, adj)
-        return ValidationReport(not failures, failures)
-    if result.method not in ("core", "truss", "clique"):
-        raise ValueError(f"unknown method {result.method!r}")
-    failures = []
-    for k, subs in result.per_k.items():
-        for idx, sg in enumerate(subs):
-
-            def fail(reason: str, **where) -> None:
-                failures.append(
-                    {"method": result.method, "k": k, "subgraph": idx, **where, "reason": reason}
-                )
-
-            vs = set(sg.vertices)
-            if result.method == "core":
-                for v in sg.vertices:
-                    if (d := len(adj[v] & vs)) < k:
-                        fail(f"induced degree {d} < {k}", vertex=int(v))
-            elif result.method == "truss":
-                if sg.edge_ids is None:
-                    fail("truss subgraph without edge ids")
-                    continue
-                edges = g.edges[np.asarray(sg.edge_ids, dtype=np.int64)].tolist()
-                nbr: dict[int, set[int]] = {}
-                for u, v in edges:
-                    nbr.setdefault(u, set()).add(v)
-                    nbr.setdefault(v, set()).add(u)
-                for u, v in edges:
-                    if (s := len(nbr[u] & nbr[v])) < k - 2:
-                        fail(f"support {s} < {k - 2}", edge=(u, v))
-            else:
-                for i, u in enumerate(sg.vertices):
-                    for v in sg.vertices[i + 1 :]:
-                        if v not in adj[u]:
-                            fail("missing edge inside clique", edge=(int(u), int(v)))
-                for w in range(g.n):
-                    if w not in vs and vs <= adj[w]:
-                        fail("not maximal: vertex adjacent to all members", vertex=w)
-    return ValidationReport(not failures, failures)
-
-
-def _dbscan_failures(result: DecompositionResult, adj: list[set[int]]) -> list[dict]:
-    """Check each DBSCAN level against the working graph it was drawn from.
-
-    The working graph is every vertex at k_min and the union of the previous
-    level's clusters after that.  Each cluster must lie in it, hold a seed of
-    working-graph degree >= k, be connected and closed under working-graph
-    neighbors, and overlap no other cluster; every seed must be clustered.
-    Levels run from k_min up to the first level without a seed.
-    """
-    failures: list[dict] = []
-    live = set(range(len(adj)))
-    k = result.k_min
-    while True:
-        subs = result.per_k.get(k, [])
-
-        def fail(reason: str, **where) -> None:
-            failures.append({"method": "dbscan", "k": k, **where, "reason": reason})
-
-        clustered: set[int] = set()
-        for idx, sg in enumerate(subs):
-            vs = set(sg.vertices)
-            if vs - live:
-                fail("vertex outside the previous level", subgraph=idx)
-            if vs & clustered:
-                fail("clusters overlap", subgraph=idx)
-            clustered |= vs
-            if not any(len(adj[v] & live) >= k for v in vs):
-                fail(f"no seed of working-graph degree >= {k}", subgraph=idx)
-            reached, frontier = set(sg.vertices[:1]), list(sg.vertices[:1])
-            while frontier:
-                nxt = (adj[frontier.pop()] & vs) - reached
-                reached |= nxt
-                frontier.extend(nxt)
-            if reached != vs:
-                fail("cluster not connected", subgraph=idx)
-            if any((adj[v] & live) - vs for v in vs):
-                fail("working-graph neighbor outside the cluster", subgraph=idx)
-        for v in sorted(live - clustered):
-            if len(adj[v] & live) >= k:
-                fail("seed in no cluster", vertex=v)
-        if not subs:
-            break
-        live = clustered
-        k += 1
-    for extra in sorted(j for j in result.per_k if not result.k_min <= j <= k):
-        failures.append(
-            {"method": "dbscan", "k": extra, "reason": "level outside k_min..last level"}
-        )
-    return failures

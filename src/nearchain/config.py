@@ -172,13 +172,57 @@ def _split_list(raw: str) -> tuple[str, ...]:
     return tuple(s.strip() for s in raw.split(",") if s.strip())
 
 
+def _known_keys() -> dict[str, set[str]]:
+    """Each section's keys: its config dataclass's fields, the [ingest] window
+    split into per-axis bounds, and [ingest] input."""
+    classes = {
+        "run": PipelineConfig,
+        "ingest": IngestConfig,
+        "pairs": PairsConfig,
+        "decompose": DecomposeConfig,
+        "knox": KnoxConfig,
+    }
+    keys = {name: {f.name for f in fields(cls)} for name, cls in classes.items()}
+    keys["run"] -= {*classes, "input"}
+    keys["ingest"] -= {"window"}
+    keys["ingest"] |= {f"{axis}_{end}" for axis in "xyt" for end in ("min", "max")}
+    keys["ingest"].add("input")
+    return keys
+
+
+def _check_keys(parser: configparser.ConfigParser, path) -> None:
+    """Fail on the first section or key that no setting reads."""
+    known = _known_keys()
+    sections = parser.sections()
+    if parser.defaults():
+        sections.insert(0, parser.default_section)
+    for section in sections:
+        keys = list(parser[section])
+        if section not in known:
+            where = f" (key {keys[0]!r})" if keys else ""
+            raise ValueError(
+                f"{path}: unknown section [{section}]{where}; expected one of {sorted(known)}"
+            )
+        for key in keys:
+            if key not in known[section]:
+                raise ValueError(
+                    f"{path}: unknown key {key!r} in section [{section}];"
+                    f" expected one of {sorted(known[section])}"
+                )
+
+
 def load_config(path=None) -> PipelineConfig:
-    """Parse the INI file (or defaults when path is None)."""
+    """Parse the INI file (or defaults when path is None).
+
+    A section or key that no setting reads is an error naming the file, the
+    section and the key, so a mistyped name cannot fall back to a default.
+    """
     parser = configparser.ConfigParser(interpolation=None)
     if path is not None:
         read = parser.read(path)
         if not read:
             raise ValueError(f"cannot read config file {path}")
+        _check_keys(parser, path)
     cfg = PipelineConfig()
 
     if parser.has_section("run"):

@@ -250,23 +250,19 @@ def write_events_csv(events: list[Event], path) -> None:
             )
 
 
-def read_events_csv(path) -> list[Event]:
-    """Load a cleaned-events CSV written by :func:`write_events_csv`."""
-    events: list[Event] = []
+def read_events_csv(path) -> tuple[np.ndarray, np.ndarray]:
+    """Load a cleaned-events CSV written by :func:`write_events_csv`.
+
+    Returns ``(ids, xyt)``: ids of shape (n,) and (x, y, t) rows of shape
+    (n, 3), the form ``spatial`` and ``knox`` read.
+    """
+    ids: list[int] = []
+    xyt: list[tuple[float, float, float]] = []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            events.append(
-                Event(
-                    id=int(row["id"]),
-                    x=float(row["x"]),
-                    y=float(row["y"]),
-                    t=float(row["t"]),
-                    category=row["category"],
-                    multiplicity=int(row["multiplicity"]),
-                )
-            )
-    return events
+        for row in csv.DictReader(fh):
+            ids.append(int(row["id"]))
+            xyt.append((float(row["x"]), float(row["y"]), float(row["t"])))
+    return np.array(ids, dtype=np.int64), np.array(xyt, dtype=np.float64).reshape(-1, 3)
 
 
 def write_rejects_csv(rejects: list[tuple[int, str]], path) -> None:

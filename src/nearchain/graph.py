@@ -28,21 +28,10 @@ class EventGraph:
         self.m = int(len(edges))
         self.row_offsets = row_offsets
         self.col_indices = col_indices
-        self._adj_sets: list[set[int]] | None = None
 
     @property
     def degrees(self) -> np.ndarray:
         return np.diff(self.row_offsets)
-
-    def adjacency_sets(self) -> list[set[int]]:
-        """Per-vertex neighbor sets (cached)."""
-        if self._adj_sets is None:
-            ro, ci = self.row_offsets, self.col_indices
-            self._adj_sets = [
-                set(map(int, ci[ro[v] : ro[v + 1]])) for v in range(self.n)
-            ]
-        return self._adj_sets
-
 
 
 @dataclass(frozen=True)
@@ -143,11 +132,6 @@ def triangles(g: EventGraph) -> tuple[np.ndarray, np.ndarray]:
     return tris, sides
 
 
-def _local_terms(deg: np.ndarray, tri: np.ndarray) -> np.ndarray:
-    """Per-vertex local coefficients 2 t / (d (d - 1)), 0.0 below degree 2."""
-    return 2.0 * tri / np.maximum(deg * (deg - 1), 1)
-
-
 def level_components(
     g: EventGraph, tris, vertex_level, edge_level, triangle_level, k_min: int
 ) -> dict[int, list[Component]]:
@@ -161,8 +145,7 @@ def level_components(
     afresh by :func:`component_labels` over its edges, whose labels already
     run in smallest-member order.  A component's mean local clustering
     coefficient is its ``np.bincount`` weight total, which adds the members'
-    terms one at a time in ascending id, exactly as
-    :func:`clustering_coefficient` sums them.
+    terms one at a time in ascending id, the order of the definition's sum.
     """
     n, edges = g.n, g.edges
     deg = np.zeros(n, dtype=np.int64)
@@ -177,7 +160,8 @@ def level_components(
         labels, _ = component_labels(n, edges[alive])
         _, comp = np.unique(labels[verts], return_inverse=True)
         sizes = np.bincount(comp)
-        coefficients = np.bincount(comp, weights=_local_terms(deg, tri)[verts]) / sizes
+        local = 2.0 * tri / np.maximum(deg * (deg - 1), 1)  # 0.0 below degree 2
+        coefficients = np.bincount(comp, weights=local[verts]) / sizes
         members = verts[np.argsort(comp, kind="stable")].tolist()
         comp_of[verts] = comp
         edge_comp = comp_of[edges[alive, 0]]
@@ -198,25 +182,6 @@ def component_table(g: EventGraph) -> list[Component]:
     tris = triangles(g)[0]
     flat = [np.zeros(size, dtype=np.int64) for size in (g.n, g.m, len(tris))]
     return level_components(g, tris, *flat, 0).get(0, [])
-
-
-def compute_supports(g: EventGraph) -> np.ndarray:
-    """Per-edge triangle count."""
-    return np.bincount(triangles(g)[1].ravel(), minlength=g.m)
-
-
-def clustering_coefficient(g: EventGraph) -> float:
-    """Mean local (Watts-Strogatz) coefficient of g, summed in ascending vertex id.
-
-    Vertices of degree < 2 contribute 0.
-    """
-    if g.n == 0:
-        raise ValueError("clustering coefficient of an empty graph")
-    tri = np.bincount(triangles(g)[0].ravel(), minlength=g.n)
-    total = 0.0
-    for term in _local_terms(g.degrees, tri).tolist():
-        total += term
-    return total / g.n
 
 
 def _diameter_floyd_warshall(sub: EventGraph) -> int:

@@ -106,7 +106,14 @@ def _accumulate(
     db, tb = config.distance_bins, config.time_bins
     cap_d, cap_t = (db - 1, tb - 1) if config.overflow == "clamp" else (db, tb)
     width = tb + 1
-    counts = np.zeros((len(times), (db + 1) * width), dtype=np.int64)
+    try:
+        counts = np.zeros((len(times), (db + 1) * width), dtype=np.int64)
+    except (MemoryError, ValueError):  # ValueError: past numpy's largest array
+        raise ValueError(
+            f"no memory for a Knox table of {db} distance bins x {tb} time bins"
+            f" over {len(times)} round(s): raise distance_step / time_step"
+            " or set distance_bins / time_bins"
+        ) from None
     workers = max(1, min(workers, len(times)))
 
     def run(rounds: range, rows: slice, cols: slice, cell: np.ndarray) -> None:
@@ -239,6 +246,8 @@ def emit_heatmap(
     _write_grid(outdir / "residuals.csv", table, residuals, as_int=False)
     if pvalues is not None:
         _write_grid(outdir / "pvalues.csv", table, pvalues, as_int=False)
+    else:  # a run with permutations may have left one behind
+        (outdir / "pvalues.csv").unlink(missing_ok=True)
     cfg = table.config
     meta = {
         "schema_version": SCHEMA_VERSION,

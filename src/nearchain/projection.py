@@ -1,9 +1,10 @@
 """Transverse Mercator (UTM) projection on the WGS84 ellipsoid.
 
-Forward and inverse conversions use the sixth-order flattening-series
-expansion of the conformal-latitude formulation.  Within a UTM zone the
-series truncation error is far below a millimeter, much tighter than the
-centimeter-level agreement the test suite demands.
+The forward conversion uses the sixth-order flattening-series expansion of
+the conformal-latitude formulation.  Within a UTM zone the series truncation
+error is far below a millimeter, much tighter than the centimeter-level
+agreement the test suite demands; the inverse series, which only checks it,
+lives with the test suite's oracles.
 """
 
 from __future__ import annotations
@@ -25,13 +26,11 @@ LAT_MAX = 84.0
 _N = WGS84_F / (2.0 - WGS84_F)
 _E2 = WGS84_F * (2.0 - WGS84_F)
 _E = math.sqrt(_E2)
-_E2M = 1.0 - _E2
 
 #: Rectifying radius: the quarter meridian equals RECT_RADIUS * pi / 2.
 RECT_RADIUS = WGS84_A / (1.0 + _N) * (1.0 + _N**2 / 4.0 + _N**4 / 64.0 + _N**6 / 256.0)
 
-# Series coefficients (order n^6) mapping conformal to rectifying latitude
-# (forward, alpha) and back (inverse, beta).
+# Series coefficients (order n^6) mapping conformal to rectifying latitude.
 _ALPHA = (
     _N / 2.0 - 2.0 * _N**2 / 3.0 + 5.0 * _N**3 / 16.0 + 41.0 * _N**4 / 180.0
     - 127.0 * _N**5 / 288.0 + 7891.0 * _N**6 / 37800.0,
@@ -42,17 +41,6 @@ _ALPHA = (
     49561.0 * _N**4 / 161280.0 - 179.0 * _N**5 / 168.0 + 6601661.0 * _N**6 / 7257600.0,
     34729.0 * _N**5 / 80640.0 - 3418889.0 * _N**6 / 1995840.0,
     212378941.0 * _N**6 / 319334400.0,
-)
-_BETA = (
-    _N / 2.0 - 2.0 * _N**2 / 3.0 + 37.0 * _N**3 / 96.0 - _N**4 / 360.0
-    - 81.0 * _N**5 / 512.0 + 96199.0 * _N**6 / 604800.0,
-    _N**2 / 48.0 + _N**3 / 15.0 - 437.0 * _N**4 / 1440.0 + 46.0 * _N**5 / 105.0
-    - 1118711.0 * _N**6 / 3870720.0,
-    17.0 * _N**3 / 480.0 - 37.0 * _N**4 / 840.0 - 209.0 * _N**5 / 4480.0
-    + 5569.0 * _N**6 / 90720.0,
-    4397.0 * _N**4 / 161280.0 - 11.0 * _N**5 / 504.0 - 830251.0 * _N**6 / 7257600.0,
-    4583.0 * _N**5 / 161280.0 - 108847.0 * _N**6 / 3991680.0,
-    20648693.0 * _N**6 / 638668800.0,
 )
 
 
@@ -69,44 +57,14 @@ def central_meridian(zone: int) -> float:
     return int(zone) * 6.0 - 183.0
 
 
-def _forward(lat_deg, lon_deg, zone: int):
-    """Core forward transform; accepts scalars or arrays, returns ndarrays."""
-    lat = np.deg2rad(np.asarray(lat_deg, dtype=float))
-    dlon = np.deg2rad(np.asarray(lon_deg, dtype=float) - central_meridian(zone))
-    tau = np.tan(lat)
-    sigma = np.sinh(_E * np.arctanh(_E * tau / np.hypot(1.0, tau)))
-    taup = tau * np.hypot(1.0, sigma) - sigma * np.hypot(1.0, tau)
-    cdl = np.cos(dlon)
-    xip = np.arctan2(taup, cdl)
-    etap = np.arcsinh(np.sin(dlon) / np.hypot(taup, cdl))
-    xi = np.array(xip, dtype=float, copy=True)
-    eta = np.array(etap, dtype=float, copy=True)
-    for j, a in enumerate(_ALPHA, start=1):
-        xi = xi + a * np.sin(2.0 * j * xip) * np.cosh(2.0 * j * etap)
-        eta = eta + a * np.cos(2.0 * j * xip) * np.sinh(2.0 * j * etap)
-    easting = FALSE_EASTING + UTM_K0 * RECT_RADIUS * eta
-    northing = UTM_K0 * RECT_RADIUS * xi
-    northing = np.where(lat < 0.0, FALSE_NORTHING_SOUTH + northing, northing)
-    return easting, northing
-
-
-def project_to_utm(lat: float, lon: float, zone: int) -> tuple[float, float]:
-    """Project one geographic point to UTM (easting, northing) in meters.
-
-    Scale factor 0.9996, false easting 500 km, false northing 0 m in the
-    northern hemisphere and 10 000 km in the southern.  Raises ``ValueError``
-    when ``lat`` lies outside the UTM band (-80, 84).
-    """
-    if not LAT_MIN < lat < LAT_MAX:
-        raise ValueError(
-            f"latitude {lat} outside UTM band ({LAT_MIN}, {LAT_MAX})"
-        )
-    e, n = _forward(lat, lon, zone)
-    return float(e), float(n)
-
-
 def project_many(lats, lons, zone: int) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`project_to_utm` over arrays of equal length."""
+    """Project geographic points to UTM (easting, northing) arrays in meters.
+
+    ``lats`` and ``lons`` are degrees, arrays of equal length.  Scale factor
+    0.9996, false easting 500 km, false northing 0 m in the northern
+    hemisphere and 10 000 km in the southern.  Raises ``ValueError`` naming
+    the first latitude outside the UTM band (-80, 84).
+    """
     lats = np.asarray(lats, dtype=float)
     lons = np.asarray(lons, dtype=float)
     bad = ~((lats > LAT_MIN) & (lats < LAT_MAX))
@@ -115,50 +73,20 @@ def project_many(lats, lons, zone: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(
             f"latitude {lats[i]} at index {i} outside UTM band ({LAT_MIN}, {LAT_MAX})"
         )
-    e, n = _forward(lats, lons, zone)
-    return np.atleast_1d(np.asarray(e, float)), np.atleast_1d(np.asarray(n, float))
+    lat = np.deg2rad(lats)
+    dlon = np.deg2rad(lons - central_meridian(zone))
+    tau = np.tan(lat)
+    sigma = np.sinh(_E * np.arctanh(_E * tau / np.hypot(1.0, tau)))
+    taup = tau * np.hypot(1.0, sigma) - sigma * np.hypot(1.0, tau)
+    cdl = np.cos(dlon)
+    xip = np.arctan2(taup, cdl)
+    etap = np.arcsinh(np.sin(dlon) / np.hypot(taup, cdl))
+    xi, eta = xip, etap
+    for j, a in enumerate(_ALPHA, start=1):
+        xi = xi + a * np.sin(2.0 * j * xip) * np.cosh(2.0 * j * etap)
+        eta = eta + a * np.cos(2.0 * j * xip) * np.sinh(2.0 * j * etap)
+    easting = FALSE_EASTING + UTM_K0 * RECT_RADIUS * eta
+    northing = UTM_K0 * RECT_RADIUS * xi
+    northing = np.where(lat < 0.0, FALSE_NORTHING_SOUTH + northing, northing)
+    return np.atleast_1d(easting), np.atleast_1d(northing)
 
-
-def _tau_from_taup(taup):
-    """Invert the conformal tangent via Newton iteration (vectorized)."""
-    tau = taup / _E2M
-    stol = 1e-13 * np.maximum(1.0, np.abs(taup))
-    for _ in range(6):
-        tau1 = np.hypot(1.0, tau)
-        sigma = np.sinh(_E * np.arctanh(_E * tau / tau1))
-        taupa = tau * np.hypot(1.0, sigma) - sigma * tau1
-        dtau = (
-            (taup - taupa)
-            * (1.0 + _E2M * tau * tau)
-            / (_E2M * tau1 * np.hypot(1.0, taupa))
-        )
-        tau = tau + dtau
-        if np.all(np.abs(dtau) < stol):
-            break
-    return tau
-
-
-def utm_to_latlon(easting, northing, zone: int, southern: bool = False):
-    """Inverse projection: UTM meters back to (lat, lon) degrees.
-
-    Scalar inputs return floats; array inputs return ndarrays.
-    """
-    e = np.asarray(easting, dtype=float)
-    n = np.asarray(northing, dtype=float)
-    if southern:
-        n = n - FALSE_NORTHING_SOUTH
-    xi = n / (UTM_K0 * RECT_RADIUS)
-    eta = (e - FALSE_EASTING) / (UTM_K0 * RECT_RADIUS)
-    xip = np.array(xi, dtype=float, copy=True)
-    etap = np.array(eta, dtype=float, copy=True)
-    for j, b in enumerate(_BETA, start=1):
-        xip = xip - b * np.sin(2.0 * j * xi) * np.cosh(2.0 * j * eta)
-        etap = etap - b * np.cos(2.0 * j * xi) * np.sinh(2.0 * j * eta)
-    sh = np.sinh(etap)
-    cx = np.cos(xip)
-    lon = central_meridian(zone) + np.rad2deg(np.arctan2(sh, cx))
-    taup = np.sin(xip) / np.hypot(sh, cx)
-    lat = np.rad2deg(np.arctan(_tau_from_taup(taup)))
-    if np.ndim(lat) == 0 and np.ndim(easting) == 0 and np.ndim(northing) == 0:
-        return float(lat), float(lon)
-    return np.atleast_1d(lat), np.atleast_1d(lon)

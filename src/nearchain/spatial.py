@@ -218,13 +218,3 @@ def write_pairs_bin(path, pairs: np.ndarray) -> None:
         fh.write(struct.pack("<Q", len(arr)))
         fh.write(arr.astype("<u4").tobytes())
 
-
-def read_pairs_bin(path) -> np.ndarray:
-    """Load a binary pair dump written by :func:`write_pairs_bin`."""
-    with open(path, "rb") as fh:
-        (count,) = struct.unpack("<Q", fh.read(8))
-        body = fh.read(8 * count)
-    arr = np.frombuffer(body, dtype="<u4").astype(np.int64)
-    if len(arr) != 2 * count:
-        raise ValueError(f"{path}: truncated pair dump")
-    return arr.reshape(-1, 2)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,6 +64,61 @@ def snyder_utm(lat_deg: float, lon_deg: float, zone: int):
     if lat_deg < 0:
         northing += 10000000.0
     return easting, northing
+
+
+# Inverse UTM by the sixth-order flattening series (Karney's beta terms) and
+# a Newton iteration on the conformal tangent: the round-trip check of the
+# forward projection, with its own constants.
+_N = _F / (2.0 - _F)
+_E = math.sqrt(_E2)
+_E2M = 1.0 - _E2
+_RECT = _A / (1.0 + _N) * (1.0 + _N**2 / 4.0 + _N**4 / 64.0 + _N**6 / 256.0)
+_BETA = (
+    _N / 2.0 - 2.0 * _N**2 / 3.0 + 37.0 * _N**3 / 96.0 - _N**4 / 360.0
+    - 81.0 * _N**5 / 512.0 + 96199.0 * _N**6 / 604800.0,
+    _N**2 / 48.0 + _N**3 / 15.0 - 437.0 * _N**4 / 1440.0 + 46.0 * _N**5 / 105.0
+    - 1118711.0 * _N**6 / 3870720.0,
+    17.0 * _N**3 / 480.0 - 37.0 * _N**4 / 840.0 - 209.0 * _N**5 / 4480.0
+    + 5569.0 * _N**6 / 90720.0,
+    4397.0 * _N**4 / 161280.0 - 11.0 * _N**5 / 504.0 - 830251.0 * _N**6 / 7257600.0,
+    4583.0 * _N**5 / 161280.0 - 108847.0 * _N**6 / 3991680.0,
+    20648693.0 * _N**6 / 638668800.0,
+)
+
+
+def _tau_from_taup(taup: float) -> float:
+    """Invert the conformal tangent by Newton iteration."""
+    tau = taup / _E2M
+    stol = 1e-13 * max(1.0, abs(taup))
+    for _ in range(6):
+        tau1 = math.hypot(1.0, tau)
+        sigma = math.sinh(_E * math.atanh(_E * tau / tau1))
+        taupa = tau * math.hypot(1.0, sigma) - sigma * tau1
+        dtau = (
+            (taup - taupa)
+            * (1.0 + _E2M * tau * tau)
+            / (_E2M * tau1 * math.hypot(1.0, taupa))
+        )
+        tau += dtau
+        if abs(dtau) < stol:
+            break
+    return tau
+
+
+def utm_to_latlon(easting: float, northing: float, zone: int, southern: bool = False):
+    """Inverse projection: UTM meters back to (lat, lon) degrees."""
+    if southern:
+        northing -= 10000000.0
+    xi = northing / (_K0 * _RECT)
+    eta = (easting - 500000.0) / (_K0 * _RECT)
+    xip, etap = xi, eta
+    for j, b in enumerate(_BETA, start=1):
+        xip -= b * math.sin(2.0 * j * xi) * math.cosh(2.0 * j * eta)
+        etap -= b * math.cos(2.0 * j * xi) * math.sinh(2.0 * j * eta)
+    sh, cx = math.sinh(etap), math.cos(xip)
+    lon = zone * 6 - 183 + math.degrees(math.atan2(sh, cx))
+    taup = math.sin(xip) / math.hypot(sh, cx)
+    return math.degrees(math.atan(_tau_from_taup(taup))), lon
 
 
 # ------------------------------------------------------------------ graphs
@@ -333,6 +389,124 @@ def rebuild_levels(n: int, edges, method: str, k_min: int = 3) -> dict[int, list
             )
         out[k] = comps
     return out
+
+
+# --------------------------------------------------------------- validator
+
+
+@dataclass
+class ValidationReport:
+    """Outcome of re-checking a decomposition's defining properties."""
+
+    ok: bool
+    failures: list[dict] = field(default_factory=list)
+
+
+def validate(result, g) -> ValidationReport:
+    """Re-check the defining property of every reported subgraph.
+
+    Core: minimum induced degree >= k.  Truss: minimum support >= k-2 within
+    the subgraph's own edges, read through its ``edge_ids``; a truss subgraph
+    without them is a failure.  Clique: pairwise adjacency plus maximality.
+    DBSCAN: the clustering rules, level by level (see :func:`_dbscan_failures`).
+    Neighbor sets come straight from the rows of ``g.edges``.
+    """
+    edge_list = g.edges.tolist()
+    adj: list[set[int]] = [set() for _ in range(g.n)]
+    for u, v in edge_list:
+        adj[u].add(v)
+        adj[v].add(u)
+    if result.method == "dbscan":
+        failures = _dbscan_failures(result, adj)
+        return ValidationReport(not failures, failures)
+    if result.method not in ("core", "truss", "clique"):
+        raise ValueError(f"unknown method {result.method!r}")
+    failures = []
+    for k, subs in result.per_k.items():
+        for idx, sg in enumerate(subs):
+
+            def fail(reason: str, **where) -> None:
+                failures.append(
+                    {"method": result.method, "k": k, "subgraph": idx, **where, "reason": reason}
+                )
+
+            vs = set(sg.vertices)
+            if result.method == "core":
+                for v in sg.vertices:
+                    if (d := len(adj[v] & vs)) < k:
+                        fail(f"induced degree {d} < {k}", vertex=int(v))
+            elif result.method == "truss":
+                if sg.edge_ids is None:
+                    fail("truss subgraph without edge ids")
+                    continue
+                edges = [edge_list[e] for e in sg.edge_ids]
+                nbr: dict[int, set[int]] = {}
+                for u, v in edges:
+                    nbr.setdefault(u, set()).add(v)
+                    nbr.setdefault(v, set()).add(u)
+                for u, v in edges:
+                    if (s := len(nbr[u] & nbr[v])) < k - 2:
+                        fail(f"support {s} < {k - 2}", edge=(u, v))
+            else:
+                for i, u in enumerate(sg.vertices):
+                    for v in sg.vertices[i + 1 :]:
+                        if v not in adj[u]:
+                            fail("missing edge inside clique", edge=(int(u), int(v)))
+                for w in range(g.n):
+                    if w not in vs and vs <= adj[w]:
+                        fail("not maximal: vertex adjacent to all members", vertex=w)
+    return ValidationReport(not failures, failures)
+
+
+def _dbscan_failures(result, adj: list[set[int]]) -> list[dict]:
+    """Check each DBSCAN level against the working graph it was drawn from.
+
+    The working graph is every vertex at k_min and the union of the previous
+    level's clusters after that.  Each cluster must lie in it, hold a seed of
+    working-graph degree >= k, be connected and closed under working-graph
+    neighbors, and overlap no other cluster; every seed must be clustered.
+    Levels run from k_min up to the first level without a seed.
+    """
+    failures: list[dict] = []
+    live = set(range(len(adj)))
+    k = result.k_min
+    while True:
+        subs = result.per_k.get(k, [])
+
+        def fail(reason: str, **where) -> None:
+            failures.append({"method": "dbscan", "k": k, **where, "reason": reason})
+
+        clustered: set[int] = set()
+        for idx, sg in enumerate(subs):
+            vs = set(sg.vertices)
+            if vs - live:
+                fail("vertex outside the previous level", subgraph=idx)
+            if vs & clustered:
+                fail("clusters overlap", subgraph=idx)
+            clustered |= vs
+            if not any(len(adj[v] & live) >= k for v in vs):
+                fail(f"no seed of working-graph degree >= {k}", subgraph=idx)
+            reached, frontier = set(sg.vertices[:1]), list(sg.vertices[:1])
+            while frontier:
+                nxt = (adj[frontier.pop()] & vs) - reached
+                reached |= nxt
+                frontier.extend(nxt)
+            if reached != vs:
+                fail("cluster not connected", subgraph=idx)
+            if any((adj[v] & live) - vs for v in vs):
+                fail("working-graph neighbor outside the cluster", subgraph=idx)
+        for v in sorted(live - clustered):
+            if len(adj[v] & live) >= k:
+                fail("seed in no cluster", vertex=v)
+        if not subs:
+            break
+        live = clustered
+        k += 1
+    for extra in sorted(j for j in result.per_k if not result.k_min <= j <= k):
+        failures.append(
+            {"method": "dbscan", "k": extra, "reason": "level outside k_min..last level"}
+        )
+    return failures
 
 
 # ------------------------------------------------------------------ spatial

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -326,6 +327,51 @@ def test_empty_config_sections_load_the_defaults(tmp_path):
     cfg = tmp_path / "empty.ini"
     cfg.write_text("[run]\n[ingest]\n[pairs]\n[decompose]\n[knox]\n")
     assert load_config(cfg) == load_config(None)
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        ("[knox]\npermutation = 0\n", "unknown key 'permutation' in section [knox]"),
+        ("[pair]\nr_x = 5\n", "unknown section [pair] (key 'r_x')"),
+        ("[DEFAULT]\noutput = elsewhere\n[run]\n", "unknown section [DEFAULT] (key 'output')"),
+    ],
+    ids=["key", "section", "default"],
+)
+def test_unknown_config_name_is_fatal(tmp_path, capsys, text, named):
+    cfg = tmp_path / "typo.ini"
+    cfg.write_text(text)
+    assert main(["report", "-c", str(cfg), "--output", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err, err
+    (line,) = err.splitlines()
+    assert line.startswith(f"error: {cfg}: {named}"), line
+
+
+def test_every_known_config_key_is_read(tmp_path, monkeypatch):
+    monkeypatch.delenv(common.ENV_OUTPUT_DIR, raising=False)
+    cfg = tmp_path / "all.ini"
+    cfg.write_text(
+        "[run]\noutput = o\nworkers = 3\n"
+        "[ingest]\ninput = raw.csv\ncoordinate_mode = geographic\nutm_zone = 31\n"
+        "time_format = %Y\ncategory_filter = a\ncol_x = X\ncol_y = Y\ncol_lat = LA\n"
+        "col_lon = LO\ncol_time = T\ncol_category = C\n"
+        "x_min = 0\nx_max = 1\ny_min = 0\ny_max = 1\nt_min = 0\nt_max = 1\n"
+        "[pairs]\nr_x = 1\nr_y = 2\nr_t = 3\n"
+        "[decompose]\nmethods = core\nk_min = 2\nmax_cliques = 5\nmembers = yes\n"
+        "[knox]\ndistance_step = 1\ntime_step = 2\ndistance_bins = 3\ntime_bins = 4\n"
+        "permutations = 5\nseed = 6\noverflow = drop\n"
+    )
+    got, default = load_config(cfg), load_config(None)
+    assert (got.output, got.workers, got.input) == ("o", 3, "raw.csv")
+    for section in ("ingest", "pairs", "decompose", "knox"):
+        mine, base = getattr(got, section), getattr(default, section)
+        same = [
+            f.name
+            for f in dataclasses.fields(mine)
+            if getattr(mine, f.name) == getattr(base, f.name)
+        ]
+        assert same == [], (section, same)
 
 
 def test_unreadable_config_is_fatal(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
@@ -308,8 +309,15 @@ def test_events_csv_round_trip(tmp_path):
     )
     path = tmp_path / "events.csv"
     ev.write_events_csv(evs, path)
-    back = ev.read_events_csv(path)
-    assert back == evs
+    ids, xyt = ev.read_events_csv(path)
+    assert ids.dtype == np.int64 and xyt.dtype == np.float64 and xyt.shape == (len(evs), 3)
+    assert ids.tolist() == [e.id for e in evs]
+    assert xyt.tolist() == [[e.x, e.y, e.t] for e in evs]
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["category"], int(r["multiplicity"])) for r in rows] == [
+        (e.category, e.multiplicity) for e in evs
+    ]
     # fixed-point formatting: 3 decimals for x/y, 6 for t
     line = path.read_text().splitlines()[1]
     parts = line.split(",")

@@ -195,6 +195,31 @@ def test_auto_bin_resolution():
     assert coincident.config.time_bins == 1
 
 
+@pytest.mark.parametrize("step, refuse", [(1e-4, True), (1e-12, False)], ids=["memory", "size"])
+def test_unallocatable_table_names_its_bins(monkeypatch, step, refuse):
+    # 1e-4 asks for hundreds of TiB, which a host may refuse or overcommit, so a
+    # stub refuses every table past 2**31 cells as a host out of memory would;
+    # 1e-12 is past numpy's largest array size, which numpy refuses before
+    # allocating anything
+    xyt = random_events(np.random.default_rng(5), 50)
+    if refuse:
+        real = np.zeros
+
+        def zeros(shape, *args, **kwargs):
+            if np.prod(shape, dtype=float) > 2**31:
+                raise MemoryError("Unable to allocate")
+            return real(shape, *args, **kwargs)
+
+        monkeypatch.setattr(knox.np, "zeros", zeros)
+    config = knox.KnoxConfig(distance_step=step, time_step=step)
+    bins = knox._resolve_bins(xyt, config)
+    with pytest.raises(ValueError) as info:
+        knox.build_table(xyt, config)
+    message = str(info.value)
+    assert f"{bins.distance_bins} distance bins x {bins.time_bins} time bins" in message
+    assert "raise distance_step / time_step or set distance_bins / time_bins" in message
+
+
 # ------------------------------------------------------------- conservation
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from nearchain import projection
-from oracles import snyder_utm
+from oracles import snyder_utm, utm_to_latlon
 
 # Independently computed with the classic truncated-series formulation
 # (tests/oracles.py) before the production implementation was finalized.
@@ -21,6 +21,12 @@ REFERENCE_POINTS = [
 ]
 
 QUARTER_MERIDIAN = 10_001_965.7293  # WGS84 equator-to-pole arc, meters
+
+
+def project(lat: float, lon: float, zone: int) -> tuple[float, float]:
+    """One point through the array projection."""
+    (e,), (n,) = projection.project_many([lat], [lon], zone)
+    return float(e), float(n)
 
 
 def test_zone_for_lon():
@@ -43,7 +49,7 @@ def test_central_meridian():
 
 
 def test_central_meridian_equator_anchor():
-    easting, northing = projection.project_to_utm(0.0, 3.0, 31)
+    easting, northing = project(0.0, 3.0, 31)
     assert easting == pytest.approx(500000.0, abs=1e-6)
     assert northing == pytest.approx(0.0, abs=1e-6)
 
@@ -66,7 +72,7 @@ def test_central_meridian_arc_matches_rectifying_radius():
         QUARTER_MERIDIAN, abs=1e-3
     )
     for lat in (10.0, 45.0, 80.0):
-        _, northing = projection.project_to_utm(lat, 3.0, 31)
+        _, northing = project(lat, 3.0, 31)
         assert northing == pytest.approx(
             0.9996 * _meridian_arc_quadrature(lat), abs=1e-6
         )
@@ -78,15 +84,15 @@ def test_hemisphere_symmetry():
         lat = rng.uniform(0.01, 79.9)
         zone = int(rng.integers(1, 61))
         lon = projection.central_meridian(zone) + rng.uniform(-3, 3)
-        e_n, n_n = projection.project_to_utm(lat, lon, zone)
-        e_s, n_s = projection.project_to_utm(-lat, lon, zone)
+        e_n, n_n = project(lat, lon, zone)
+        e_s, n_s = project(-lat, lon, zone)
         assert e_s == pytest.approx(e_n, abs=1e-6)
         assert n_s == pytest.approx(10_000_000.0 - n_n, abs=1e-6)
 
 
 def test_reference_points():
     for lat, lon, zone, easting, northing in REFERENCE_POINTS:
-        e, n = projection.project_to_utm(lat, lon, zone)
+        e, n = project(lat, lon, zone)
         assert e == pytest.approx(easting, abs=0.01), (lat, lon)
         assert n == pytest.approx(northing, abs=0.01), (lat, lon)
 
@@ -102,7 +108,7 @@ def test_agreement_with_independent_series():
         far = cm + rng.uniform(-3.0, 3.0)
         for lon, near_cm in ((near, True), (far, False)):
             oe, on = snyder_utm(lat, lon, zone)
-            pe, pn = projection.project_to_utm(lat, lon, zone)
+            pe, pn = project(lat, lon, zone)
             diff = max(abs(oe - pe), abs(on - pn))
             if near_cm:
                 worst_near = max(worst_near, diff)
@@ -119,32 +125,21 @@ def test_round_trip_inverse():
         lat = rng.uniform(-79.9, 83.9)
         zone = int(rng.integers(1, 61))
         lon = projection.central_meridian(zone) + rng.uniform(-3.0, 3.0)
-        e, n = projection.project_to_utm(lat, lon, zone)
-        lat2, lon2 = projection.utm_to_latlon(e, n, zone, southern=lat < 0)
-        e2, n2 = projection.project_to_utm(lat2, lon2, zone)
+        e, n = project(lat, lon, zone)
+        lat2, lon2 = utm_to_latlon(e, n, zone, southern=lat < 0)
+        e2, n2 = project(lat2, lon2, zone)
         worst = max(worst, abs(e2 - e), abs(n2 - n))
     assert worst < 1e-4, f"round-trip deviation {worst} m"
 
 
 def test_band_limits():
     with pytest.raises(ValueError):
-        projection.project_to_utm(-80.0, 3.0, 31)
+        project(-80.0, 3.0, 31)
     with pytest.raises(ValueError):
-        projection.project_to_utm(84.0, 3.0, 31)
+        project(84.0, 3.0, 31)
     # inside the open band both extremes project
-    projection.project_to_utm(-79.999, 3.0, 31)
-    projection.project_to_utm(83.999, 3.0, 31)
-
-
-def test_project_many_matches_scalar():
-    rng = np.random.default_rng(33)
-    lats = rng.uniform(-79, 83, 100)
-    lons = 3.0 + rng.uniform(-3, 3, 100)
-    es, ns = projection.project_many(lats, lons, 31)
-    for i in range(100):
-        e, n = projection.project_to_utm(float(lats[i]), float(lons[i]), 31)
-        assert es[i] == pytest.approx(e, abs=1e-9)
-        assert ns[i] == pytest.approx(n, abs=1e-9)
+    project(-79.999, 3.0, 31)
+    project(83.999, 3.0, 31)
 
 
 def test_project_many_rejects_out_of_band():

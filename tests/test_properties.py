@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nearchain import cohesive, graph as graphmod
-from oracles import edge_index, recount_truss_numbers
+from oracles import edge_index, recount_truss_numbers, validate
 
 PROPERTY = settings(max_examples=150, deadline=None)
 
@@ -89,7 +89,7 @@ def test_dbscan_and_stats_coefficients_match_networkx(graph, k_min):
     ref = nx_graph(n, edges)
     g = graphmod.build_graph(n, edges)
     result = cohesive.k_dbscan(g, k_min)
-    assert cohesive.validate(result, g).ok
+    assert validate(result, g).ok
     for subs in result.per_k.values():
         for sg in subs:
             cluster = ref.subgraph(sg.vertices)
